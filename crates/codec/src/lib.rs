@@ -25,8 +25,8 @@ pub mod writer;
 
 pub use framing::{read_frame, write_frame, Frame, FRAME_HEADER_LEN, FRAME_VERSION};
 pub use packet::{
-    decode_packet, encode_packet, Packet, PacketType, DATAGRAM_MTU, PACKET_HEADER_LEN,
-    PACKET_VERSION, PAYLOAD_MTU,
+    decode_ack_ranges, decode_packet, encode_acks, encode_packet, AckRange, Packet, PacketType,
+    ACK_RANGE_LEN, DATAGRAM_MTU, MAX_ACK_RANGES, PACKET_HEADER_LEN, PACKET_VERSION, PAYLOAD_MTU,
 };
 pub use reader::Reader;
 pub use writer::Writer;

@@ -32,6 +32,12 @@
 //! - `len` counts only the payload and must match the datagram length
 //!   exactly; a mismatch marks the datagram corrupt.
 //!
+//! An `Ack` acknowledges any number of packets at once: its payload is
+//! a list of ranges ([`encode_acks`], [`decode_ack_ranges`]), each
+//! `first: u64` then `count: u32`, and its header `packet_no` is the
+//! first number acknowledged. An empty payload acknowledges exactly
+//! `packet_no`, so a one-packet ack is the same 24 bytes it always was.
+//!
 //! All integers are little-endian. The full datagram binding
 //! (handshake, acknowledgement, retransmission and resumption rules) is
 //! specified in `docs/wire-protocol.md` spec §6.
@@ -64,10 +70,11 @@ pub enum PacketType {
     /// number, acting as its acknowledgement.
     InitAck,
     /// One fragment of a framed message. Ack-eliciting: the receiver
-    /// answers with an [`PacketType::Ack`] echoing the packet number.
+    /// answers with an [`PacketType::Ack`] covering the packet number.
     Data,
-    /// Acknowledges one `Data` packet (the echoed number sits in
-    /// `packet_no`). Not itself acknowledged or retransmitted.
+    /// Acknowledges `Data` packets: the ranges in its payload, or just
+    /// `packet_no` when the payload is empty (see [`decode_ack_ranges`]).
+    /// Not itself acknowledged or retransmitted.
     Ack,
 }
 
@@ -100,14 +107,15 @@ pub struct Packet {
     /// Connection the packet belongs to.
     pub conn_id: u64,
     /// Per-connection monotonic packet number (stable across
-    /// retransmissions); for [`PacketType::Ack`] and
-    /// [`PacketType::InitAck`], the number being acknowledged.
+    /// retransmissions); for [`PacketType::InitAck`], the number being
+    /// acknowledged, and for [`PacketType::Ack`], the first one.
     pub packet_no: u64,
     /// Index of this fragment within its frame.
     pub frag_index: u16,
     /// Total fragments of the frame (`1` for unfragmented).
     pub frag_count: u16,
-    /// The fragment bytes (empty for handshake and ack packets).
+    /// The fragment bytes (empty for handshake packets; ack ranges for
+    /// [`PacketType::Ack`]).
     pub payload: Vec<u8>,
 }
 
@@ -190,6 +198,120 @@ pub fn decode_packet(buf: &[u8]) -> io::Result<Packet> {
     })
 }
 
+/// Bytes one range occupies in an `Ack` payload (`u64` first packet
+/// number + `u32` count).
+pub const ACK_RANGE_LEN: usize = 12;
+
+/// Most ranges one `Ack` datagram carries.
+pub const MAX_ACK_RANGES: usize = PAYLOAD_MTU / ACK_RANGE_LEN;
+
+/// A run of consecutive acknowledged packet numbers. Never empty, and
+/// its last number fits in a `u64`: the constructor checks both, so a
+/// range decoded from the wire is safe to iterate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AckRange {
+    first: u64,
+    count: u32,
+}
+
+impl AckRange {
+    /// The range of `count` numbers from `first`; `None` if `count` is
+    /// zero or the last number would overflow `u64`.
+    pub fn new(first: u64, count: u32) -> Option<Self> {
+        (count > 0 && first.checked_add(u64::from(count) - 1).is_some())
+            .then_some(Self { first, count })
+    }
+
+    /// The lowest number in the range.
+    pub fn first(&self) -> u64 {
+        self.first
+    }
+
+    /// The highest number in the range.
+    pub fn last(&self) -> u64 {
+        self.first + (u64::from(self.count) - 1)
+    }
+
+    /// How many numbers the range covers (at least 1).
+    pub fn count(&self) -> u32 {
+        self.count
+    }
+
+    /// Whether `packet_no` lies in the range.
+    pub fn contains(&self, packet_no: u64) -> bool {
+        packet_no >= self.first && packet_no - self.first < u64::from(self.count)
+    }
+}
+
+/// Encodes `Ack` datagrams covering every number in `packet_nos`, at
+/// most [`MAX_ACK_RANGES`] ranges per datagram. Runs of consecutive
+/// numbers coalesce into one range, so ascending input without repeats
+/// gives the fewest datagrams; any other order is still fully covered.
+/// A datagram that covers a single number uses the empty-payload form.
+pub fn encode_acks(conn_id: u64, packet_nos: &[u64]) -> Vec<Vec<u8>> {
+    let mut ranges: Vec<AckRange> = Vec::new();
+    for &no in packet_nos {
+        match ranges.last_mut() {
+            Some(r) if r.count < u32::MAX && r.last().checked_add(1) == Some(no) => r.count += 1,
+            _ => ranges.push(AckRange {
+                first: no,
+                count: 1,
+            }),
+        }
+    }
+    ranges
+        .chunks(MAX_ACK_RANGES)
+        .map(|chunk| {
+            let mut payload = Vec::new();
+            if chunk.len() > 1 || chunk[0].count > 1 {
+                payload.reserve(chunk.len() * ACK_RANGE_LEN);
+                for r in chunk {
+                    payload.extend_from_slice(&r.first.to_le_bytes());
+                    payload.extend_from_slice(&r.count.to_le_bytes());
+                }
+            }
+            encode_packet(PacketType::Ack, conn_id, chunk[0].first, 0, 1, &payload)
+        })
+        .collect()
+}
+
+/// Decodes the ranges an `Ack` acknowledges, given its header
+/// `packet_no` and payload. An empty payload acknowledges exactly
+/// `packet_no`.
+///
+/// The payload comes from the network, so it is checked whole before
+/// anything is returned: a length that is not a whole number of
+/// ranges, a zero-count range, or a range whose last number overflows
+/// `u64` rejects the entire ack with [`io::ErrorKind::InvalidData`]
+/// (the sender retransmits what it covered).
+pub fn decode_ack_ranges(packet_no: u64, payload: &[u8]) -> io::Result<Vec<AckRange>> {
+    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+    if payload.is_empty() {
+        return Ok(vec![AckRange {
+            first: packet_no,
+            count: 1,
+        }]);
+    }
+    if !payload.len().is_multiple_of(ACK_RANGE_LEN) {
+        return Err(bad(format!(
+            "ack payload of {} bytes is not a whole number of {ACK_RANGE_LEN}-byte ranges",
+            payload.len()
+        )));
+    }
+    payload
+        .chunks_exact(ACK_RANGE_LEN)
+        .map(|raw| {
+            let first = u64::from_le_bytes(raw[..8].try_into().expect("8 bytes"));
+            let count = u32::from_le_bytes(raw[8..].try_into().expect("4 bytes"));
+            AckRange::new(first, count).ok_or_else(|| {
+                bad(format!(
+                    "ack range of {count} from {first} is empty or overflows"
+                ))
+            })
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,6 +378,43 @@ mod tests {
         let mut bad = good;
         bad[18..20].copy_from_slice(&3u16.to_le_bytes());
         assert!(decode_packet(&bad).is_err());
+    }
+
+    #[test]
+    fn one_packet_ack_keeps_the_empty_payload_form() {
+        let acks = encode_acks(5, &[41]);
+        assert_eq!(acks.len(), 1);
+        assert_eq!(acks[0].len(), PACKET_HEADER_LEN);
+        let pkt = decode_packet(&acks[0]).unwrap();
+        assert_eq!(
+            (pkt.ptype, pkt.conn_id, pkt.packet_no),
+            (PacketType::Ack, 5, 41)
+        );
+        let ranges = decode_ack_ranges(pkt.packet_no, &pkt.payload).unwrap();
+        assert_eq!(ranges, vec![AckRange::new(41, 1).unwrap()]);
+    }
+
+    #[test]
+    fn runs_coalesce_and_header_names_the_first_number() {
+        let acks = encode_acks(5, &[3, 4, 5, 9, 10]);
+        assert_eq!(acks.len(), 1);
+        assert_eq!(acks[0].len(), PACKET_HEADER_LEN + 2 * ACK_RANGE_LEN);
+        let pkt = decode_packet(&acks[0]).unwrap();
+        assert_eq!(pkt.packet_no, 3);
+        let ranges = decode_ack_ranges(pkt.packet_no, &pkt.payload).unwrap();
+        assert_eq!(
+            ranges,
+            vec![AckRange::new(3, 3).unwrap(), AckRange::new(9, 2).unwrap()]
+        );
+        assert!(ranges[0].contains(5) && !ranges[0].contains(6));
+        assert_eq!(ranges[1].last(), 10);
+    }
+
+    #[test]
+    fn ack_range_constructor_rejects_empty_and_overflowing_ranges() {
+        assert!(AckRange::new(7, 0).is_none());
+        assert!(AckRange::new(u64::MAX, 2).is_none());
+        assert_eq!(AckRange::new(u64::MAX, 1).unwrap().last(), u64::MAX);
     }
 
     #[test]

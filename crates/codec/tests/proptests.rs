@@ -326,3 +326,129 @@ mod framing {
         }
     }
 }
+
+mod ack_ranges {
+    //! Ranged acknowledgements carried in QuicLite `Ack` payloads: any
+    //! ascending packet-number set survives encode → datagram → decode,
+    //! split across as many datagrams as its ranges need, and every
+    //! malformed range list is rejected whole.
+
+    use openflame_codec::packet::{
+        decode_ack_ranges, decode_packet, encode_acks, PacketType, ACK_RANGE_LEN, DATAGRAM_MTU,
+        MAX_ACK_RANGES, PAYLOAD_MTU,
+    };
+    use proptest::prelude::*;
+    use std::io;
+
+    /// An ascending set built from a start and gaps (gap 1 extends a
+    /// run), stopping where the next number would overflow `u64`.
+    fn ascending(start: u64, gaps: &[u64]) -> Vec<u64> {
+        let mut nos = vec![start];
+        for &gap in gaps {
+            match nos.last().and_then(|last| last.checked_add(gap)) {
+                Some(next) => nos.push(next),
+                None => break,
+            }
+        }
+        nos
+    }
+
+    fn decode_all(datagrams: &[Vec<u8>]) -> io::Result<Vec<u64>> {
+        let mut covered = Vec::new();
+        for datagram in datagrams {
+            let pkt = decode_packet(datagram)?;
+            for range in decode_ack_ranges(pkt.packet_no, &pkt.payload)? {
+                covered.extend(range.first()..=range.last());
+            }
+        }
+        Ok(covered)
+    }
+
+    /// A valid multi-range payload: `ranges` entries of (first, count).
+    fn payload(ranges: &[(u64, u32)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for (first, count) in ranges {
+            out.extend_from_slice(&first.to_le_bytes());
+            out.extend_from_slice(&count.to_le_bytes());
+        }
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn ascending_sets_round_trip_through_mtu_split_acks(
+            start in arb_start(),
+            gaps in proptest::collection::vec(1u64..4, 0..700),
+            conn_id in any::<u64>(),
+        ) {
+            let nos = ascending(start, &gaps);
+            let datagrams = encode_acks(conn_id, &nos);
+            let runs = 1 + nos.windows(2).filter(|w| w[1] != w[0] + 1).count();
+            prop_assert_eq!(datagrams.len(), runs.div_ceil(MAX_ACK_RANGES));
+            for datagram in &datagrams {
+                prop_assert!(datagram.len() <= DATAGRAM_MTU);
+                let pkt = decode_packet(datagram).unwrap();
+                prop_assert_eq!(pkt.ptype, PacketType::Ack);
+                prop_assert_eq!(pkt.conn_id, conn_id);
+                prop_assert!(pkt.payload.len() <= PAYLOAD_MTU);
+                // The header names the first number the datagram acks.
+                let ranges = decode_ack_ranges(pkt.packet_no, &pkt.payload).unwrap();
+                prop_assert_eq!(ranges[0].first(), pkt.packet_no);
+            }
+            prop_assert_eq!(decode_all(&datagrams).unwrap(), nos);
+        }
+
+        #[test]
+        fn ragged_payload_length_is_rejected(
+            ranges in proptest::collection::vec((0u64..1_000_000, 1u32..100), 1..20),
+            extra in 1usize..ACK_RANGE_LEN,
+            cut in any::<bool>(),
+        ) {
+            let mut bytes = payload(&ranges);
+            if cut {
+                bytes.truncate(bytes.len() - extra);
+            } else {
+                bytes.extend(std::iter::repeat_n(0u8, extra));
+            }
+            let err = decode_ack_ranges(0, &bytes).unwrap_err();
+            prop_assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+
+        #[test]
+        fn zero_count_range_is_rejected(
+            ranges in proptest::collection::vec((0u64..1_000_000, 1u32..100), 1..20),
+            at in any::<usize>(),
+        ) {
+            let mut ranges = ranges;
+            let at = at % ranges.len();
+            ranges[at].1 = 0;
+            let err = decode_ack_ranges(0, &payload(&ranges)).unwrap_err();
+            prop_assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+
+        #[test]
+        fn range_ending_past_u64_max_is_rejected(
+            ranges in proptest::collection::vec((0u64..1_000_000, 1u32..100), 1..20),
+            at in any::<usize>(),
+            headroom in 0u64..1_000,
+            excess in 1u32..1_000,
+        ) {
+            // `first + count - 1` lands `excess` numbers past u64::MAX.
+            let mut ranges = ranges;
+            let at = at % ranges.len();
+            ranges[at] = (u64::MAX - headroom, headroom as u32 + 1 + excess);
+            let err = decode_ack_ranges(0, &payload(&ranges)).unwrap_err();
+            prop_assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+    }
+
+    /// Starts anywhere, with a third of the cases near `u64::MAX` so
+    /// runs meet the top of the number space.
+    fn arb_start() -> impl Strategy<Value = u64> {
+        (any::<u64>(), 0u8..3, 0u64..2_000).prop_map(|(any, pick, below_max)| match pick {
+            0 => u64::MAX - below_max,
+            1 => below_max,
+            _ => any,
+        })
+    }
+}

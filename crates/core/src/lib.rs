@@ -90,19 +90,21 @@
 //!   the handshake round), packet numbers with ack-elicited
 //!   retransmission (injected datagram loss below the timeout is
 //!   recovered, not surfaced), fragmentation for over-MTU envelopes,
-//!   and one client socket multiplexing every destination; on the
-//!   serve side a single poll-based thread multiplexes every served
-//!   endpoint's socket, so the whole transport runs on a small
-//!   constant number of threads. No TLS — a documented non-goal of
-//!   this offline tree.
+//!   one ranged ack per drained burst, socket buffers sized so a
+//!   196 KB tile burst is queued rather than dropped, and one client
+//!   socket multiplexing every destination. Both the serve side (one
+//!   poll-based thread for every served endpoint's socket) and the
+//!   client side (one poll-driven receiver) run the same drain-and-ack
+//!   routine, so the whole transport runs on a small constant number
+//!   of threads. No TLS — a documented non-goal of this offline tree.
 //!
 //! Picking a backend:
 //!
-//! | backend    | clock      | determinism | loss story                | threads                        | best for                          |
-//! |------------|------------|-------------|---------------------------|--------------------------------|-----------------------------------|
-//! | `Sim`      | simulated  | total       | drop ⇒ modelled timeout   | none                           | experiments, benches, seeded runs |
-//! | `Tcp`      | wall-clock | scheduling  | drop ⇒ failed call        | O(cores) reactors + fixed pool | proving the stack on real streams |
-//! | `QuicLite` | wall-clock | scheduling  | drop ⇒ retransmit+recover | small constant, lowest         | reconnect-heavy wide fan-out      |
+//! | backend    | clock      | determinism | loss story                | threads                        | best for                                          |
+//! |------------|------------|-------------|---------------------------|--------------------------------|---------------------------------------------------|
+//! | `Sim`      | simulated  | total       | drop ⇒ modelled timeout   | none                           | experiments, benches, seeded runs                 |
+//! | `Tcp`      | wall-clock | scheduling  | drop ⇒ failed call        | O(cores) reactors + fixed pool | proving the stack on real streams                 |
+//! | `QuicLite` | wall-clock | scheduling  | drop ⇒ retransmit+recover | small constant, lowest         | reconnect-heavy wide fan-out, bulk tiles included |
 //!
 //! The frame layout, correlation semantics, pipelining rules, server
 //! dispatch guarantees and the datagram binding are specified in

@@ -1,10 +1,11 @@
 //! Readiness-notification plumbing for the shared-reactor transports:
-//! a hand-rolled `poll(2)` wrapper, a loopback-datagram waker, and a
-//! non-blocking TCP connect helper.
+//! a hand-rolled `poll(2)` wrapper, a loopback-datagram waker, a
+//! non-blocking TCP connect helper, and socket-buffer sizing.
 //!
 //! The vendored dependency set cannot grow (no `mio`, no `libc`), so
 //! the handful of C entry points needed — `poll`, `socket`, `connect`,
-//! `close` — are declared directly against the platform libc the
+//! `close`, `setsockopt`, `getsockopt` — are declared directly against
+//! the platform libc the
 //! standard library already links. Linux-only constants are fine:
 //! every supported environment (dev container, CI) is Linux, and the
 //! transports built on this module are loopback test backends, not
@@ -56,6 +57,8 @@ extern "C" {
     fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
     fn connect(fd: i32, addr: *const SockAddrIn, len: u32) -> i32;
     fn close(fd: i32) -> i32;
+    fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
+    fn getsockopt(fd: i32, level: i32, name: i32, value: *mut i32, len: *mut u32) -> i32;
 }
 
 /// `poll(2)` over the given descriptors; retries `EINTR`, returns the
@@ -71,6 +74,43 @@ pub(crate) fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize>
             return Err(err);
         }
     }
+}
+
+const SOL_SOCKET: i32 = 1;
+const SO_SNDBUF: i32 = 7;
+const SO_RCVBUF: i32 = 8;
+
+/// Asks the kernel for `bytes` of send and of receive buffer on
+/// `socket`, and returns the receive buffer it granted as `getsockopt`
+/// reports it: Linux doubles the request to cover its bookkeeping and
+/// caps it at `net.core.rmem_max`, so the grant shows what a burst can
+/// really queue on this host.
+pub(crate) fn size_socket_buffers(socket: &UdpSocket, bytes: usize) -> io::Result<usize> {
+    let fd = socket.as_raw_fd();
+    let value = i32::try_from(bytes).unwrap_or(i32::MAX);
+    let int_len = std::mem::size_of::<i32>() as u32;
+    for name in [SO_RCVBUF, SO_SNDBUF] {
+        // SAFETY: `fd` stays open for the call (borrowed from `socket`),
+        // and `value` is a live `i32` whose size is passed as the length.
+        let rc = unsafe { setsockopt(fd, SOL_SOCKET, name, &value, int_len) };
+        if rc != 0 {
+            return Err(io::Error::last_os_error());
+        }
+    }
+    let mut granted: i32 = 0;
+    let mut len = int_len;
+    // SAFETY: `fd` stays open for the call; `granted` and `len` are live
+    // locals, and `len` tells the kernel `granted` holds one `i32`.
+    let rc = unsafe { getsockopt(fd, SOL_SOCKET, SO_RCVBUF, &mut granted, &mut len) };
+    if rc != 0 {
+        return Err(io::Error::last_os_error());
+    }
+    usize::try_from(granted).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("negative receive buffer {granted}"),
+        )
+    })
 }
 
 /// Wakes a thread blocked in [`poll_fds`] from any other thread: the
