@@ -30,8 +30,13 @@ fn bench_tiles(c: &mut Criterion) {
     });
     let a = Tile::blank(TileCoord { z: 16, x, y });
     let tile_b = renderer.tile(TileCoord { z: 16, x, y });
+    group.bench_function("compose_1_layer", |b| b.iter(|| compose(&[&tile_b])));
     group.bench_function("compose_2_layers", |b| b.iter(|| compose(&[&a, &tile_b])));
     group.bench_function("to_ppm", |b| b.iter(|| tile_b.to_ppm()));
+    let rgb = tile_b.to_rgb();
+    group.bench_function("from_rgb", |b| {
+        b.iter(|| Tile::from_rgb(TileCoord { z: 16, x, y }, &rgb))
+    });
     group.finish();
 }
 

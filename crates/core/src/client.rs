@@ -1008,7 +1008,10 @@ impl OpenFlameClient {
 
     /// Federated tiles: fetch the tile covering `center` at zoom `z`
     /// from every discovered server — one batched envelope each, in one
-    /// concurrent round — and compose them (paper §5.2).
+    /// concurrent round — and compose them (paper §5.2). When no server
+    /// contributes a layer and some branch failed on the wire or sent a
+    /// malformed tile, the result is [`ClientError::PartialFailure`]
+    /// with each branch's error.
     pub fn federated_tile(&self, center: LatLng, z: u8) -> Result<Tile, ClientError> {
         Ok(self.tile_impl(center, z)?.0)
     }
@@ -1029,22 +1032,50 @@ impl OpenFlameClient {
                 Some(vec![Request::GetTile { z, x, y }])
             });
         let mut layers: Vec<Tile> = Vec::new();
-        for outcome in outcomes {
-            // Unaligned venues and denied servers simply don't
-            // contribute a layer.
-            if let Ok(Some(Response::Tile { rgb, .. })) = outcome.map(|mut r| r.pop()) {
-                if let Some(tile) = Tile::from_rgb(coord, &rgb) {
-                    layers.push(tile);
+        let mut answered = 0usize;
+        let mut failures: Vec<(usize, ClientError)> = Vec::new();
+        let mut fleet_failed = false;
+        for (idx, (target, outcome)) in plan.targets.iter().zip(outcomes).enumerate() {
+            match outcome.map(|mut r| r.pop()) {
+                Ok(Some(Response::Tile { rgb, .. })) => match Tile::from_rgb(coord, &rgb) {
+                    Some(tile) => {
+                        answered += 1;
+                        layers.push(tile);
+                    }
+                    None => {
+                        failures.push((idx, ClientError::Protocol("malformed tile payload".into())))
+                    }
+                },
+                // Unaligned venues and paper §5.3 denials are answers
+                // without a layer.
+                Ok(_) => answered += 1,
+                Err(e) => {
+                    fleet_failed |= target.fleet.is_some();
+                    failures.push((idx, e));
                 }
             }
         }
-        if layers.is_empty() {
-            return Err(ClientError::NothingDiscovered(format!(
-                "no tile-serving providers near {center}"
-            )));
+        // As for localization: an outage or a malformed reply must not
+        // read as "no tiles here". With no layer, or a fleet shard still
+        // down after failover, the failures surface, sources preserved.
+        if (layers.is_empty() || fleet_failed) && !failures.is_empty() {
+            return Err(ClientError::PartialFailure {
+                succeeded: answered,
+                failures,
+            });
         }
-        let refs: Vec<&Tile> = layers.iter().collect();
-        Ok((compose(&refs), layers.len()))
+        let count = layers.len();
+        let tile = match count {
+            0 => {
+                return Err(ClientError::NothingDiscovered(format!(
+                    "no tile-serving providers near {center}"
+                )))
+            }
+            // `compose` of one layer is the identity.
+            1 => layers.swap_remove(0),
+            _ => compose(&layers.iter().collect::<Vec<_>>()),
+        };
+        Ok((tile, count))
     }
 
     // ----------------------------------------------------------------

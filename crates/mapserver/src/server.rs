@@ -11,6 +11,13 @@
 //! portals are immutable after spawn, and the request counters are
 //! lock-free atomics — concurrent dispatch never serializes on a stats
 //! mutex.
+//!
+//! Answers that only a patch can change are built with the engines,
+//! once per map version, not once per request: the [`HelloInfo`]
+//! snapshot lives in the engines and is replaced under the same write
+//! lock that installs a new version (wire protocol spec §13.1), so no
+//! reader sees a new version beside an old summary; rendered tiles are
+//! cached with their RGB wire form (see [`TileRenderer`]).
 
 use crate::acl::{AccessPolicy, Principal, ServiceKind, ALL_SERVICES};
 use crate::protocol::{
@@ -116,6 +123,44 @@ impl StatCounters {
     }
 }
 
+/// The configuration a server keeps from spawn on: with the map, the
+/// inputs every engine and the hello are built from.
+struct Fixed {
+    id: String,
+    tags: TagRegistry,
+    beacons: Vec<openflame_localize::Beacon>,
+    portals: Vec<(NodeId, LatLng)>,
+    location_hint: LatLng,
+    radius_m: f64,
+    build_ch: bool,
+}
+
+impl Fixed {
+    /// The committed extent of the coverage summary (spec §13.1): the
+    /// registration cap. The extent MUST bound every answerable element
+    /// — here it is the same cap the server registers in DNS, which
+    /// deployments derive from the venue's ground-truth zone, so the
+    /// commitment holds by construction.
+    fn coverage_extent(&self) -> Option<CoverageExtent> {
+        (self.radius_m > 0.0).then(|| {
+            let region = Region::Cap {
+                center: self.location_hint,
+                radius_m: self.radius_m,
+            };
+            let cells = RegionCoverer::new(4, crate::naming::QUERY_LEVEL, 16)
+                .covering(&region)
+                .into_iter()
+                .map(|c| c.raw())
+                .collect();
+            CoverageExtent {
+                cells,
+                center: self.location_hint,
+                radius_m: self.radius_m,
+            }
+        })
+    }
+}
+
 /// Engines rebuilt whenever the map changes.
 struct Engines {
     map: MapDocument,
@@ -125,32 +170,91 @@ struct Engines {
     ch: Option<ContractionHierarchy>,
     radio: Option<RadioMap>,
     renderer: Option<TileRenderer>,
+    /// The capability advertisement for this map version: a function
+    /// of the map and [`Fixed`] only, so it is built here and cloned
+    /// per `Hello`.
+    hello: HelloInfo,
 }
 
 impl Engines {
-    fn build(map: MapDocument, beacons: &[openflame_localize::Beacon], build_ch: bool) -> Self {
+    fn build(map: MapDocument, fixed: &Fixed) -> Self {
         let geocoder = Geocoder::build(&map);
         let search = SearchIndex::build(&map);
         let graph = RoadGraph::from_map(&map, Profile::Walking);
-        let ch = if build_ch && graph.node_count() > 0 {
+        let ch = if fixed.build_ch && graph.node_count() > 0 {
             Some(ContractionHierarchy::build(&graph))
         } else {
             None
         };
-        let radio = if beacons.is_empty() {
+        let radio = if fixed.beacons.is_empty() {
             None
         } else {
             let (min, max) = map
                 .local_bounds()
                 .unwrap_or((Point2::ZERO, Point2::new(1.0, 1.0)));
             Some(RadioMap::survey(
-                beacons.to_vec(),
+                fixed.beacons.clone(),
                 min - Point2::new(2.0, 2.0),
                 max + Point2::new(2.0, 2.0),
                 2.0,
             ))
         };
         let renderer = TileRenderer::new(&map);
+
+        // Capability advertisement (paper §5.2: technology advertisement
+        // drives which cues clients send).
+        let mut techs = Vec::new();
+        if !fixed.tags.is_empty() {
+            techs.push("tag".to_string());
+        }
+        if radio.is_some() {
+            techs.push("beacon".to_string());
+        }
+        let anchored = renderer.is_some();
+        if anchored {
+            techs.push("gnss".to_string());
+        }
+        let mut services = vec![
+            "geocode".to_string(),
+            "rgeocode".to_string(),
+            "search".to_string(),
+            "route".to_string(),
+        ];
+        services.push("localize".to_string());
+        if anchored {
+            services.push("tiles".to_string());
+        }
+        let anchor = match map.georef() {
+            openflame_mapdata::GeoReference::Anchored { origin } => Some(origin),
+            openflame_mapdata::GeoReference::Unaligned { .. } => None,
+        };
+        // The coverage summary (spec §13): per-kind document counts
+        // from these engines, and the registration cap as the extent.
+        let kinds = vec![
+            ("search".to_string(), search.len() as u64),
+            ("geocode".to_string(), geocoder.len() as u64),
+            (
+                "rgeocode".to_string(),
+                if anchored { geocoder.len() as u64 } else { 0 },
+            ),
+            ("route".to_string(), graph.node_count() as u64),
+            ("localize".to_string(), techs.len() as u64),
+            ("tiles".to_string(), u64::from(anchored)),
+        ];
+        let hello = HelloInfo {
+            server_id: fixed.id.clone(),
+            map_name: map.meta().name.clone(),
+            services,
+            localization_techs: techs,
+            anchored,
+            anchor,
+            portals: fixed.portals.iter().map(|(n, hint)| (n.0, *hint)).collect(),
+            version: map.meta().version,
+            coverage: Some(CoverageSummary {
+                kinds,
+                extent: fixed.coverage_extent(),
+            }),
+        };
         Self {
             map,
             geocoder,
@@ -159,22 +263,17 @@ impl Engines {
             ch,
             radio,
             renderer,
+            hello,
         }
     }
 }
 
 /// A federated map server bound to a network endpoint.
 pub struct MapServer {
-    id: String,
     endpoint: EndpointId,
     engines: OrderedRwLock<Engines>,
-    tags: TagRegistry,
-    beacons: Vec<openflame_localize::Beacon>,
+    fixed: Fixed,
     policy: AccessPolicy,
-    portals: Vec<(NodeId, LatLng)>,
-    location_hint: LatLng,
-    radius_m: f64,
-    build_ch: bool,
     stats: StatCounters,
 }
 
@@ -190,18 +289,21 @@ impl MapServer {
     pub fn spawn_on(transport: &Arc<dyn Transport>, config: MapServerConfig) -> Arc<Self> {
         let endpoint =
             transport.register(&format!("mapsrv:{}", config.id), Some(config.location_hint));
-        let engines = Engines::build(config.map, &config.beacons, config.build_ch);
-        let server = Arc::new(Self {
+        let fixed = Fixed {
             id: config.id,
-            endpoint,
-            engines: OrderedRwLock::new(ranks::MAPSERVER_ENGINES, engines),
             tags: config.tags,
             beacons: config.beacons,
-            policy: config.policy,
             portals: config.portals,
             location_hint: config.location_hint,
             radius_m: config.radius_m,
             build_ch: config.build_ch,
+        };
+        let engines = Engines::build(config.map, &fixed);
+        let server = Arc::new(Self {
+            endpoint,
+            engines: OrderedRwLock::new(ranks::MAPSERVER_ENGINES, engines),
+            fixed,
+            policy: config.policy,
             stats: StatCounters::default(),
         });
         transport.set_service(endpoint, server.wire_service());
@@ -258,7 +360,10 @@ impl MapServer {
     /// deployments built entirely on TCP simply use
     /// [`MapServer::spawn_on`].
     pub fn serve_tcp(self: &Arc<Self>, tcp: &TcpTransport) -> EndpointId {
-        let endpoint = tcp.register(&format!("mapsrv:{}", self.id), Some(self.location_hint));
+        let endpoint = tcp.register(
+            &format!("mapsrv:{}", self.fixed.id),
+            Some(self.fixed.location_hint),
+        );
         tcp.set_service(endpoint, self.wire_service());
         tcp.set_overload_policy(endpoint, Some(Self::default_overload_policy()));
         endpoint
@@ -271,7 +376,10 @@ impl MapServer {
     /// simply use [`MapServer::spawn_on`] with a
     /// `BackendKind::QuicLite` transport.
     pub fn serve_udp(self: &Arc<Self>, quic: &QuicLiteTransport) -> EndpointId {
-        let endpoint = quic.register(&format!("mapsrv:{}", self.id), Some(self.location_hint));
+        let endpoint = quic.register(
+            &format!("mapsrv:{}", self.fixed.id),
+            Some(self.fixed.location_hint),
+        );
         quic.set_service(endpoint, self.wire_service());
         quic.set_overload_policy(endpoint, Some(Self::default_overload_policy()));
         endpoint
@@ -279,7 +387,7 @@ impl MapServer {
 
     /// The server's stable identifier.
     pub fn id(&self) -> &str {
-        &self.id
+        &self.fixed.id
     }
 
     /// The server's network endpoint.
@@ -289,12 +397,12 @@ impl MapServer {
 
     /// Coarse registration location.
     pub fn location_hint(&self) -> LatLng {
-        self.location_hint
+        self.fixed.location_hint
     }
 
     /// Zone radius for discovery registration.
     pub fn radius_m(&self) -> f64 {
-        self.radius_m
+        self.fixed.radius_m
     }
 
     /// Statistics snapshot.
@@ -315,93 +423,12 @@ impl MapServer {
         }
     }
 
-    /// Capability advertisement (paper §5.2: technology advertisement drives
-    /// which cues clients send).
+    /// Capability advertisement (paper §5.2: technology advertisement
+    /// drives which cues clients send), with the coverage summary of
+    /// spec §13: the snapshot built with the current map version's
+    /// engines.
     pub fn hello(&self) -> HelloInfo {
-        let engines = self.engines.read();
-        let mut techs = Vec::new();
-        if !self.tags.is_empty() {
-            techs.push("tag".to_string());
-        }
-        if engines.radio.is_some() {
-            techs.push("beacon".to_string());
-        }
-        let anchored = engines.renderer.is_some();
-        if anchored {
-            techs.push("gnss".to_string());
-        }
-        let mut services = vec![
-            "geocode".to_string(),
-            "rgeocode".to_string(),
-            "search".to_string(),
-            "route".to_string(),
-        ];
-        services.push("localize".to_string());
-        if anchored {
-            services.push("tiles".to_string());
-        }
-        let anchor = match engines.map.georef() {
-            openflame_mapdata::GeoReference::Anchored { origin } => Some(origin),
-            openflame_mapdata::GeoReference::Unaligned { .. } => None,
-        };
-        let coverage = Some(self.coverage_summary(&engines, &techs, anchored));
-        HelloInfo {
-            server_id: self.id.clone(),
-            map_name: engines.map.meta().name.clone(),
-            services,
-            localization_techs: techs,
-            anchored,
-            anchor,
-            portals: self.portals.iter().map(|(n, hint)| (n.0, *hint)).collect(),
-            version: engines.map.meta().version,
-            coverage,
-        }
-    }
-
-    /// The coverage summary advertised in [`MapServer::hello`] (spec
-    /// §13): per-kind document counts from the live engines, and the
-    /// registration cap as the committed extent. The extent MUST bound
-    /// every answerable element — here it is the same cap the server
-    /// registers in DNS, which deployments derive from the venue's
-    /// ground-truth zone, so the commitment holds by construction.
-    fn coverage_summary(
-        &self,
-        engines: &Engines,
-        techs: &[String],
-        anchored: bool,
-    ) -> CoverageSummary {
-        let kinds = vec![
-            ("search".to_string(), engines.search.len() as u64),
-            ("geocode".to_string(), engines.geocoder.len() as u64),
-            (
-                "rgeocode".to_string(),
-                if anchored {
-                    engines.geocoder.len() as u64
-                } else {
-                    0
-                },
-            ),
-            ("route".to_string(), engines.graph.node_count() as u64),
-            ("localize".to_string(), techs.len() as u64),
-            ("tiles".to_string(), u64::from(anchored)),
-        ];
-        let extent = (self.radius_m > 0.0).then(|| {
-            let region = Region::Cap {
-                center: self.location_hint,
-                radius_m: self.radius_m,
-            };
-            let cells = RegionCoverer::new(4, crate::naming::QUERY_LEVEL, 16)
-                .covering(&region)
-                .into_iter()
-                .map(|c| c.raw())
-                .collect();
-            CoverageExtent {
-                cells,
-                center: self.location_hint,
-                radius_m: self.radius_m,
-            }
-        });
-        CoverageSummary { kinds, extent }
+        self.engines.read().hello.clone()
     }
 
     /// Forward geocode (ACL-checked).
@@ -535,7 +562,7 @@ impl MapServer {
         for cue in cues {
             match cue {
                 LocationCue::FiducialTag { .. } => {
-                    if let Some(e) = self.tags.localize(cue) {
+                    if let Some(e) = self.fixed.tags.localize(cue) {
                         estimates.push(e);
                     }
                 }
@@ -565,11 +592,21 @@ impl MapServer {
 
     /// Rendered tile (ACL-checked; anchored maps only).
     pub fn tile(&self, principal: &Principal, coord: TileCoord) -> Result<Arc<Tile>, ServerError> {
+        self.with_renderer(principal, |renderer| renderer.tile(coord))
+    }
+
+    /// Runs `f` on the tile renderer (ACL-checked under `Tiles`;
+    /// anchored maps only).
+    fn with_renderer<R>(
+        &self,
+        principal: &Principal,
+        f: impl FnOnce(&TileRenderer) -> R,
+    ) -> Result<R, ServerError> {
         self.check(principal, ServiceKind::Tiles)?;
         self.count(ServiceKind::Tiles);
         let engines = self.engines.read();
         match &engines.renderer {
-            Some(renderer) => Ok(renderer.tile(coord)),
+            Some(renderer) => Ok(f(renderer)),
             None => Err(ServerError::NotOffered(ServiceKind::Tiles)),
         }
     }
@@ -584,7 +621,9 @@ impl MapServer {
             .apply(&mut map)
             .map_err(|e| ServerError::Failed(format!("patch: {e}")))?;
         let version = map.meta().version;
-        *engines = Engines::build(map, &self.beacons, self.build_ch);
+        // The new hello is installed in the same critical section as
+        // the new version (spec §13.1).
+        *engines = Engines::build(map, &self.fixed);
         self.stats.patches.fetch_add(1, Ordering::Relaxed);
         Ok(version)
     }
@@ -668,18 +707,20 @@ impl MapServer {
                 Ok(estimates) => Response::Localize { estimates },
                 Err(e) => into_error(e),
             },
-            Request::GetTile { z, x, y } => match self.tile(principal, TileCoord { z, x, y }) {
-                Ok(tile) => {
-                    let mut rgb = Vec::with_capacity(tile.pixels().len() * 3);
-                    for &px in tile.pixels() {
-                        rgb.push((px >> 16) as u8);
-                        rgb.push((px >> 8) as u8);
-                        rgb.push(px as u8);
-                    }
-                    Response::Tile { z, x, y, rgb }
+            // The cached wire form, encoded once when the tile was
+            // rendered.
+            Request::GetTile { z, x, y } => {
+                let coord = TileCoord { z, x, y };
+                match self.with_renderer(principal, |renderer| renderer.tile_rgb(coord)) {
+                    Ok(rgb) => Response::Tile {
+                        z,
+                        x,
+                        y,
+                        rgb: rgb.to_vec(),
+                    },
+                    Err(e) => into_error(e),
                 }
-                Err(e) => into_error(e),
-            },
+            }
             Request::ApplyPatch { patch } => match self.apply_patch(principal, &patch) {
                 Ok(version) => Response::PatchApplied { version },
                 Err(e) => into_error(e),
@@ -716,10 +757,9 @@ mod tests {
     use openflame_mapdata::Tags;
     use openflame_worldgen::{World, WorldConfig};
 
-    fn venue_server(net: &SimNet) -> (Arc<MapServer>, World) {
-        let world = World::generate(WorldConfig::default());
+    fn venue_config(world: &World) -> MapServerConfig {
         let venue = &world.venues[0];
-        let config = MapServerConfig {
+        MapServerConfig {
             id: "venue0".into(),
             map: venue.map.clone(),
             beacons: venue.beacons.clone(),
@@ -729,8 +769,26 @@ mod tests {
             location_hint: venue.hint,
             radius_m: venue.radius_m,
             build_ch: false,
-        };
-        (MapServer::spawn(net, config), world)
+        }
+    }
+
+    fn outdoor_config(world: &World) -> MapServerConfig {
+        MapServerConfig {
+            id: "outdoor".into(),
+            map: world.outdoor.clone(),
+            beacons: vec![],
+            tags: TagRegistry::new(),
+            policy: AccessPolicy::open(),
+            portals: vec![],
+            location_hint: world.config.center,
+            radius_m: 2_000.0,
+            build_ch: false,
+        }
+    }
+
+    fn venue_server(net: &SimNet) -> (Arc<MapServer>, World) {
+        let world = World::generate(WorldConfig::default());
+        (MapServer::spawn(net, venue_config(&world)), world)
     }
 
     #[test]
@@ -744,6 +802,61 @@ mod tests {
         assert!(hello.localization_techs.contains(&"tag".to_string()));
         assert!(!hello.localization_techs.contains(&"gnss".to_string()));
         assert_eq!(hello.portals.len(), 1);
+    }
+
+    #[test]
+    fn hello_snapshot_matches_a_fresh_server_across_patches() {
+        let net = SimNet::new(1);
+        let world = World::generate(WorldConfig::default());
+        let anon = Principal::anonymous();
+        let search_count = |hello: &HelloInfo| {
+            let coverage = hello.coverage.as_ref().expect("servers advertise coverage");
+            coverage
+                .kinds
+                .iter()
+                .find(|(kind, _)| kind == "search")
+                .map(|(_, n)| *n)
+                .expect("search is always listed")
+        };
+        let client = net.register("client", None);
+        let configs: [fn(&World) -> MapServerConfig; 2] = [outdoor_config, venue_config];
+        for config in configs {
+            let server = MapServer::spawn(&net, config(&world));
+            let before = server.hello();
+            assert_eq!(before, MapServer::spawn(&net, config(&world)).hello());
+
+            let base = server.with_map(|m| m.meta().version);
+            let mut patch = MapPatch::new(base);
+            patch.upsert_nodes.push(openflame_mapdata::Node::new(
+                NodeId(u64::MAX / 2),
+                Point2::new(3.0, 3.0),
+                Tags::new()
+                    .with("product", "starfruit")
+                    .with("name", "Fresh Starfruit"),
+            ));
+            server.apply_patch(&anon, &patch).unwrap();
+            let after = server.hello();
+            assert_eq!(after.version, before.version + 1);
+            assert_eq!(search_count(&after), search_count(&before) + 1);
+            let patched = MapServerConfig {
+                map: server.with_map(MapDocument::clone),
+                ..config(&world)
+            };
+            assert_eq!(after, MapServer::spawn(&net, patched).hello());
+
+            // The wire serves the same snapshot.
+            let env = Envelope {
+                principal: anon.clone(),
+                request: Request::Batch(vec![Request::Hello]),
+            };
+            let bytes = net
+                .call(client, server.endpoint(), to_bytes(&env).to_vec())
+                .unwrap();
+            let Ok(Response::Batch(items)) = from_bytes::<Response>(&bytes) else {
+                panic!("expected a batch response");
+            };
+            assert!(matches!(&items[..], [Response::Hello(h)] if *h == after));
+        }
     }
 
     #[test]
@@ -1191,24 +1304,25 @@ mod tests {
     fn anchored_server_serves_tiles() {
         let net = SimNet::new(1);
         let world = World::generate(WorldConfig::default());
-        let config = MapServerConfig {
-            id: "outdoor".into(),
-            map: world.outdoor.clone(),
-            beacons: vec![],
-            tags: TagRegistry::new(),
-            policy: AccessPolicy::open(),
-            portals: vec![],
-            location_hint: world.config.center,
-            radius_m: 2_000.0,
-            build_ch: false,
-        };
-        let server = MapServer::spawn(&net, config);
+        let server = MapServer::spawn(&net, outdoor_config(&world));
         assert!(server.hello().anchored);
         let (x, y) = openflame_geo::Mercator::tile_for(world.config.center, 15);
         let tile = server
             .tile(&Principal::anonymous(), TileCoord { z: 15, x, y })
             .unwrap();
         assert!(tile.coverage() > 0.0);
+        // `GetTile` serves each pixel as R, G, B bytes, row-major.
+        let packed: Vec<u8> = tile
+            .pixels()
+            .iter()
+            .flat_map(|&px| [(px >> 16) as u8, (px >> 8) as u8, px as u8])
+            .collect();
+        let Response::Tile { rgb, .. } =
+            server.dispatch(&Principal::anonymous(), Request::GetTile { z: 15, x, y })
+        else {
+            panic!("expected a tile");
+        };
+        assert_eq!(rgb, packed);
         // Venue (unaligned) servers refuse tiles.
         let (venue_server, _) = venue_server(&net);
         assert!(matches!(

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full federated stack from world
 //! generation through DNS discovery to stitched services.
 
-use openflame_core::{Deployment, DeploymentConfig, ProviderKind};
+use openflame_core::{ClientError, Deployment, DeploymentConfig, ProviderKind};
 use openflame_dns::ResolverConfig;
 use openflame_geo::LatLng;
 use openflame_localize::{LocationCue, RadioMap};
@@ -322,6 +322,27 @@ fn tiles_compose_from_outdoor_provider() {
         .federated_tile(dep.world.config.center, 16)
         .unwrap();
     assert!(tile.coverage() > 0.0, "city center tile must show streets");
+}
+
+#[test]
+fn dead_tile_provider_surfaces_as_partial_failure() {
+    let dep = Deployment::build(small_world(), DeploymentConfig::default());
+    let center = dep.world.config.center;
+    // Warm: the outdoor server's hello is cached, so the plan still
+    // targets it once it is down.
+    dep.client.federated_tile(center, 16).unwrap();
+    dep.transport.set_down(dep.outdoor_server.endpoint(), true);
+    match dep.client.federated_tile(center, 16) {
+        Err(ClientError::PartialFailure { failures, .. }) => {
+            assert!(
+                failures.iter().any(|(_, e)| e.to_string().contains("down")),
+                "failures {failures:?}"
+            );
+        }
+        other => panic!("expected a partial failure naming the outage, got {other:?}"),
+    }
+    dep.transport.set_down(dep.outdoor_server.endpoint(), false);
+    assert!(dep.client.federated_tile(center, 16).is_ok());
 }
 
 #[test]

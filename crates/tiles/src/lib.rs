@@ -10,10 +10,11 @@
 //! Everything is from scratch:
 //!
 //! - [`Tile`] — an RGBA pixel grid addressed by `(z, x, y)` slippy
-//!   coordinates, with PPM export,
+//!   coordinates, with its RGB wire form and PPM export,
 //! - [`raster`] — Bresenham lines, scanline polygon fill, discs,
 //! - [`TileRenderer`] — style-mapped rendering of a map document into
-//!   tiles, with an on-demand cache and pre-rendering (paper §4.1),
+//!   tiles, with an on-demand cache of tiles and their wire form, and
+//!   pre-rendering (paper §4.1),
 //! - [`compose`](stitch::compose) / [`render_unaligned_overlay`](stitch::render_unaligned_overlay)
 //!   — client-side stitching of tiles from multiple servers, including
 //!   venues whose frames need a fitted affine transform.

@@ -15,11 +15,24 @@ use std::sync::Arc;
 /// but each *federated* server only holds its own map, so its tiles are
 /// mostly background outside its region; the client composes tiles from
 /// many servers (see [`crate::stitch`]).
+///
+/// The cache holds each tile together with its RGB wire form
+/// ([`Tile::to_rgb`]), encoded once when the tile is rendered: paper §4.1's
+/// pre-rendering extends to the encoding, so serving a cached tile
+/// ([`TileRenderer::tile_rgb`]) copies bytes instead of re-packing
+/// pixels.
 pub struct TileRenderer {
     /// Projected world coordinates (unit square) per node, plus tags.
     features: Vec<Feature>,
-    cache: openflame_diag::OrderedMutex<HashMap<TileCoord, Arc<Tile>>>,
+    cache: openflame_diag::OrderedMutex<HashMap<TileCoord, Rendered>>,
     render_count: std::sync::atomic::AtomicU64,
+}
+
+/// One cache entry: a rendered tile and its RGB wire form.
+#[derive(Clone)]
+struct Rendered {
+    tile: Arc<Tile>,
+    rgb: Arc<[u8]>,
 }
 
 enum Feature {
@@ -91,12 +104,26 @@ impl TileRenderer {
 
     /// Renders (or fetches from cache) one tile.
     pub fn tile(&self, coord: TileCoord) -> Arc<Tile> {
+        self.rendered(coord).tile
+    }
+
+    /// One tile's RGB wire form ([`Tile::to_rgb`]), rendering and
+    /// encoding it on a cache miss.
+    pub fn tile_rgb(&self, coord: TileCoord) -> Arc<[u8]> {
+        self.rendered(coord).rgb
+    }
+
+    fn rendered(&self, coord: TileCoord) -> Rendered {
         if let Some(hit) = self.cache.lock().get(&coord) {
             return hit.clone();
         }
-        let tile = Arc::new(self.render(coord));
-        self.cache.lock().insert(coord, tile.clone());
-        tile
+        let tile = self.render(coord);
+        let entry = Rendered {
+            rgb: tile.to_rgb().into(),
+            tile: Arc::new(tile),
+        };
+        self.cache.lock().insert(coord, entry.clone());
+        entry
     }
 
     /// Pre-renders every tile covering `nw`–`se` for zooms
@@ -248,6 +275,23 @@ mod tests {
         let t2 = r.tile(coord);
         assert!(Arc::ptr_eq(&t1, &t2));
         assert_eq!(r.renders_performed(), 1);
+    }
+
+    #[test]
+    fn cached_wire_form_round_trips_the_rendered_tile() {
+        let r = TileRenderer::new(&city_map()).unwrap();
+        let origin = LatLng::new(40.4433, -79.9436).unwrap();
+        let (x, y) = Mercator::tile_for(origin, 16);
+        let coord = TileCoord { z: 16, x, y };
+        let tile = r.tile(coord);
+        assert!(tile.coverage() > 0.0);
+        assert_eq!(&*r.tile_rgb(coord), tile.to_rgb().as_slice());
+        assert_eq!(Tile::from_rgb(coord, &tile.to_rgb()).as_ref(), Some(&*tile));
+        assert_eq!(
+            r.renders_performed(),
+            1,
+            "tile and wire form share one render"
+        );
     }
 
     #[test]

@@ -12,26 +12,26 @@ use openflame_mapdata::MapDocument;
 /// from multiple discovered map servers and stitch them together"
 /// step of paper §5.2.
 ///
+/// Painting one layer over a blank tile reproduces it, so `compose` of
+/// a single layer is the identity: callers holding exactly one layer
+/// can use it as is.
+///
 /// # Panics
 ///
 /// Panics if the tiles do not share the same coordinate.
 pub fn compose(layers: &[&Tile]) -> Tile {
-    let coord = layers
-        .first()
-        .map(|t| t.coord)
-        .unwrap_or(TileCoord { z: 0, x: 0, y: 0 });
-    let mut out = Tile::blank(coord);
-    for layer in layers {
+    let Some((first, rest)) = layers.split_first() else {
+        return Tile::blank(TileCoord { z: 0, x: 0, y: 0 });
+    };
+    let mut out = (*first).clone();
+    for layer in rest {
         assert_eq!(
-            layer.coord, coord,
+            layer.coord, first.coord,
             "composing tiles from different coordinates"
         );
-        for y in 0..TILE_SIZE as i64 {
-            for x in 0..TILE_SIZE as i64 {
-                let px = layer.get(x, y);
-                if px != BACKGROUND {
-                    out.set(x, y, px);
-                }
+        for (dst, &px) in out.pixels_mut().iter_mut().zip(layer.pixels()) {
+            if px != BACKGROUND {
+                *dst = px;
             }
         }
     }
@@ -116,6 +116,13 @@ mod tests {
         assert_eq!(out.get(5, 5), 0xFF111111, "from the lower layer");
         assert_eq!(out.get(6, 6), 0xFF222222, "upper layer wins overlaps");
         assert_eq!(out.get(7, 7), BACKGROUND);
+    }
+
+    #[test]
+    fn compose_of_one_layer_is_the_identity() {
+        let mut a = Tile::blank(coord());
+        a.set(5, 5, 0xFF111111);
+        assert_eq!(compose(&[&a]), a);
     }
 
     #[test]

@@ -54,21 +54,33 @@ impl Tile {
         &self.pixels
     }
 
+    /// Mutable raw pixel access (row-major, `TILE_SIZE`² entries).
+    pub(crate) fn pixels_mut(&mut self) -> &mut [u32] {
+        &mut self.pixels
+    }
+
     /// Fraction of pixels that differ from the background.
     pub fn coverage(&self) -> f64 {
         let painted = self.pixels.iter().filter(|&&p| p != BACKGROUND).count();
         painted as f64 / self.pixels.len() as f64
     }
 
-    /// Serializes as a binary PPM (P6) image.
+    /// Serializes as a binary PPM (P6) image: the P6 header followed by
+    /// [`Tile::to_rgb`].
     pub fn to_ppm(&self) -> Vec<u8> {
-        let mut out = format!("P6\n{TILE_SIZE} {TILE_SIZE}\n255\n").into_bytes();
-        for &px in &self.pixels {
-            out.push((px >> 16) as u8);
-            out.push((px >> 8) as u8);
-            out.push(px as u8);
+        let header = format!("P6\n{TILE_SIZE} {TILE_SIZE}\n255\n").into_bytes();
+        [header, self.to_rgb()].concat()
+    }
+
+    /// The RGB wire form used by `GetTile` responses: three bytes per
+    /// pixel, row-major, alpha dropped. The inverse of
+    /// [`Tile::from_rgb`] for opaque tiles, which every rendered tile is.
+    pub fn to_rgb(&self) -> Vec<u8> {
+        let mut rgb = vec![0u8; self.pixels.len() * 3];
+        for (out, px) in rgb.chunks_exact_mut(3).zip(&self.pixels) {
+            out.copy_from_slice(&px.to_be_bytes()[1..]);
         }
-        out
+        rgb
     }
 
     /// Approximate byte size on the wire (uncompressed pixels).
@@ -77,15 +89,16 @@ impl Tile {
     }
 
     /// Rebuilds a tile from raw RGB bytes (the wire form used by
-    /// `GetTile` responses). Returns `None` on size mismatch.
+    /// `GetTile` responses, see [`Tile::to_rgb`]). Returns `None` on
+    /// size mismatch.
     pub fn from_rgb(coord: TileCoord, rgb: &[u8]) -> Option<Self> {
         if rgb.len() != TILE_SIZE * TILE_SIZE * 3 {
             return None;
         }
-        let mut pixels = Vec::with_capacity(TILE_SIZE * TILE_SIZE);
-        for px in rgb.chunks_exact(3) {
-            pixels.push(0xFF00_0000 | (px[0] as u32) << 16 | (px[1] as u32) << 8 | px[2] as u32);
-        }
+        let pixels = rgb
+            .chunks_exact(3)
+            .map(|px| u32::from_be_bytes([0xFF, px[0], px[1], px[2]]))
+            .collect();
         Some(Self { coord, pixels })
     }
 }
