@@ -23,7 +23,11 @@
 //! the submit/completion reactor, a TCP round reuses one multiplexed
 //! connection per server instead of spawning one thread per branch (on
 //! QuicLite, one shared socket multiplexes everything), so warm
-//! latency stays flat as the width grows.
+//! latency stays flat as the width grows. Every width runs on two
+//! transports, measured round by round in turn: one alone, one beside
+//! 64 warm idle endpoints (called once, then left alone). The process
+//! CPU time per call is a column — a poller whose per-call cost grows
+//! with the sockets it merely owns shows up there.
 //!
 //! **Slow-request sweep** pipelines fast requests behind one
 //! deliberately slow request on a single TCP connection. With
@@ -61,20 +65,22 @@
 //!
 //! `cargo run --release -p openflame-bench --bin transport_bench [-- --sweep|--fleet|--planner] [-- --json]`
 
-use openflame_bench::{header, mean, percentile, row};
+use openflame_bench::{header, mean, percentile, process_cpu_us, row};
 use openflame_codec::{from_bytes, to_bytes};
 use openflame_core::{Deployment, DeploymentConfig, OpenFlameClient, QueryKind, Session};
 use openflame_mapserver::protocol::{Envelope, HelloInfo, Request, Response};
 use openflame_mapserver::Principal;
-use openflame_netsim::{BackendKind, CompletionSet, EndpointId, WireService};
+use openflame_netsim::{BackendKind, CompletionSet, EndpointId, Transport, WireService};
 use openflame_worldgen::{World, WorldConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 const SEARCHES: usize = 15;
-const SWEEP_WIDTHS: [usize; 5] = [5, 8, 16, 32, 64];
-const SWEEP_REPS: usize = 20;
+const SWEEP_WIDTHS: [usize; 6] = [5, 7, 8, 16, 32, 64];
+/// Warm idle endpoints beside the measured ones.
+const SWEEP_IDLE: [usize; 2] = [0, 64];
+const SWEEP_REPS: usize = 200;
 const SLOW_MS: u64 = 40;
 const SLOW_FAST_REQS: usize = 16;
 const SLOW_REPS: usize = 8;
@@ -521,8 +527,10 @@ fn fanout_sweep(json: bool) {
     row(&[
         "backend".into(),
         "width".into(),
+        "idle".into(),
         "warm mean us".into(),
         "warm p95 us".into(),
+        "cpu us/call".into(),
         "msgs/round".into(),
         "consulted".into(),
         "pruned".into(),
@@ -532,92 +540,20 @@ fn fanout_sweep(json: bool) {
     ]);
     for backend in [BackendKind::Sim, BackendKind::Tcp, BackendKind::QuicLite] {
         for width in SWEEP_WIDTHS {
-            let transport = backend.build(9);
-            let servers: Vec<EndpointId> = (0..width)
-                .map(|i| {
-                    let id = transport.register(&format!("stub-{i}"), None);
-                    transport.set_service(id, matrix_stub(i));
-                    id
-                })
+            // One transport per idle count, alive side by side and
+            // measured round by round in turn, so drift in the host's
+            // speed lands on every idle count alike.
+            let mut arms: Vec<SweepArm> = SWEEP_IDLE
+                .into_iter()
+                .map(|idle| SweepArm::new(backend, width, idle))
                 .collect();
-            let endpoint = transport.register("sweep-client", None);
-            let session = Session::new(transport.clone(), endpoint, Principal::anonymous());
-            let round = |session: &Session| {
-                let calls: Vec<(EndpointId, Vec<Request>)> = servers
-                    .iter()
-                    .map(|s| {
-                        (
-                            *s,
-                            vec![Request::RouteMatrix {
-                                entries: vec![1],
-                                exits: vec![2, 3],
-                            }],
-                        )
-                    })
-                    .collect();
-                for result in session.batch_parallel(calls) {
-                    result.expect("sweep branch succeeds");
-                }
-            };
-            // Warm-up: dial the pools / populate the sim endpoints.
-            round(&session);
-            transport.reset_stats();
-            let mut lat_us = Vec::with_capacity(SWEEP_REPS);
-            // Peak worker-thread population over the measured rounds:
-            // the thread-budget acceptance column. On the real-socket
-            // backends this must stay flat as the width grows (tcp:
-            // reactor pool + dispatch pool; quiclite: its small
-            // constant); sim dispatches inline and reports 0.
-            let mut threads = transport.worker_threads();
             for _ in 0..SWEEP_REPS {
-                let t0 = transport.now_us();
-                round(&session);
-                lat_us.push((transport.now_us() - t0) as f64);
-                threads = threads.max(transport.worker_threads());
+                for arm in &mut arms {
+                    arm.measure_round();
+                }
             }
-            let msgs_per_round = transport.stats().messages as f64 / SWEEP_REPS as f64;
-            let warm_mean = mean(&lat_us);
-            let warm_p95 = percentile(&mut lat_us, 95.0);
-            // Admission-control observability: the deepest any server's
-            // dispatch queue got over the measured rounds, and how many
-            // requests the transport shed (always 0 here — the stubs
-            // install no overload policy, so the columns baseline the
-            // uncontended case).
-            let depth_hw = servers
-                .iter()
-                .map(|s| transport.dispatch_depth(*s))
-                .max()
-                .unwrap_or(0);
-            let shed = transport.shed_requests();
-            // Planner accounting for the artifact schema: the stubs
-            // advertise no coverage summaries, so every branch has
-            // unknown coverage and MUST be consulted (spec §13.3) —
-            // the sweep scatters to all `width` servers and prunes
-            // none. The planner sweep (`--planner`) is where the
-            // pruned column moves.
-            let (consulted, pruned) = (width, 0usize);
-            row(&[
-                transport.kind().into(),
-                format!("{width}"),
-                format!("{warm_mean:.0}"),
-                format!("{warm_p95:.0}"),
-                format!("{msgs_per_round:.0}"),
-                format!("{consulted}"),
-                format!("{pruned}"),
-                format!("{threads}"),
-                format!("{depth_hw}"),
-                format!("{shed}"),
-            ]);
-            if json {
-                println!(
-                    "{{\"bench\":\"fanout_sweep\",\"backend\":\"{}\",\"width\":{width},\
-                     \"reps\":{SWEEP_REPS},\"warm_mean_us\":{warm_mean:.1},\
-                     \"warm_p95_us\":{warm_p95:.1},\"msgs_per_round\":{msgs_per_round:.0},\
-                     \"servers_consulted\":{consulted},\"servers_pruned\":{pruned},\
-                     \"threads\":{threads},\"dispatch_depth_hw\":{depth_hw},\
-                     \"shed_requests\":{shed}}}",
-                    transport.kind(),
-                );
+            for arm in arms {
+                arm.report(json);
             }
         }
     }
@@ -639,8 +575,149 @@ fn fanout_sweep(json: bool) {
          dispatches inline (0). depth hw is the dispatch-queue high-water\n\
          across the stub servers and shed the transport's Busy-shed count\n\
          — no overload policy is installed here, so shed must be 0 and\n\
-         depth hw small (see the loadgen harness for the contended case)."
+         depth hw small (see the loadgen harness for the contended case).\n\
+         idle is the number of warm endpoints the transport owns but the\n\
+         rounds never call; cpu us/call is process CPU time (all threads)\n\
+         per measured call. Both must be flat across the idle column:\n\
+         an event costs work for ready sockets only."
     );
+}
+
+/// One fan-out sweep configuration: `width` measured stub servers plus
+/// `idle` warm stub servers on one transport, and what its measured
+/// rounds have cost so far.
+struct SweepArm {
+    transport: Arc<dyn Transport>,
+    session: Session,
+    servers: Vec<EndpointId>,
+    idle: Vec<EndpointId>,
+    lat_us: Vec<f64>,
+    cpu_us: u64,
+    /// Peak worker-thread population over the measured rounds: the
+    /// thread-budget acceptance column. On the real-socket backends
+    /// this must stay flat as the width grows (tcp: reactor pool +
+    /// dispatch pool; quiclite: its small constant); sim dispatches
+    /// inline and reports 0.
+    threads: usize,
+}
+
+impl SweepArm {
+    fn new(backend: BackendKind, width: usize, idle: usize) -> Self {
+        let transport = backend.build(9);
+        let mut servers: Vec<EndpointId> = (0..width + idle)
+            .map(|i| {
+                let id = transport.register(&format!("stub-{i}"), None);
+                transport.set_service(id, matrix_stub(i));
+                id
+            })
+            .collect();
+        let endpoint = transport.register("sweep-client", None);
+        let session = Session::new(transport.clone(), endpoint, Principal::anonymous());
+        // Warm-up: dial the pools / populate the sim endpoints. The idle
+        // endpoints get their one call here and no other.
+        round(&session, &servers);
+        transport.reset_stats();
+        let idle = servers.split_off(width);
+        Self {
+            threads: transport.worker_threads(),
+            transport,
+            session,
+            servers,
+            idle,
+            lat_us: Vec::with_capacity(SWEEP_REPS),
+            cpu_us: 0,
+        }
+    }
+
+    fn measure_round(&mut self) {
+        let cpu0 = process_cpu_us();
+        let t0 = self.transport.now_us();
+        round(&self.session, &self.servers);
+        self.lat_us.push((self.transport.now_us() - t0) as f64);
+        self.cpu_us += process_cpu_us() - cpu0;
+        self.threads = self.threads.max(self.transport.worker_threads());
+    }
+
+    fn report(mut self, json: bool) {
+        let transport = &self.transport;
+        let (width, idle) = (self.servers.len(), self.idle.len());
+        assert!(
+            self.idle
+                .iter()
+                .all(|s| transport.endpoint_stats(*s).is_some_and(|e| e.rx_msgs == 0)),
+            "idle endpoints stay idle while measured"
+        );
+        let reps = self.lat_us.len();
+        let cpu_per_call = self.cpu_us as f64 / (reps * width) as f64;
+        let msgs_per_round = transport.stats().messages as f64 / reps as f64;
+        let warm_mean = mean(&self.lat_us);
+        let warm_p95 = percentile(&mut self.lat_us, 95.0);
+        let threads = self.threads;
+        // Admission-control observability: the deepest any server's
+        // dispatch queue got over the measured rounds, and how many
+        // requests the transport shed (always 0 here — the stubs
+        // install no overload policy, so the columns baseline the
+        // uncontended case).
+        let depth_hw = self
+            .servers
+            .iter()
+            .map(|s| transport.dispatch_depth(*s))
+            .max()
+            .unwrap_or(0);
+        let shed = transport.shed_requests();
+        // Planner accounting for the artifact schema: the stubs
+        // advertise no coverage summaries, so every branch has unknown
+        // coverage and MUST be consulted (spec §13.3) — the sweep
+        // scatters to all `width` servers and prunes none. The planner
+        // sweep (`--planner`) is where the pruned column moves.
+        let (consulted, pruned) = (width, 0usize);
+        row(&[
+            transport.kind().into(),
+            format!("{width}"),
+            format!("{idle}"),
+            format!("{warm_mean:.0}"),
+            format!("{warm_p95:.0}"),
+            format!("{cpu_per_call:.1}"),
+            format!("{msgs_per_round:.0}"),
+            format!("{consulted}"),
+            format!("{pruned}"),
+            format!("{threads}"),
+            format!("{depth_hw}"),
+            format!("{shed}"),
+        ]);
+        if json {
+            println!(
+                "{{\"bench\":\"fanout_sweep\",\"backend\":\"{}\",\"width\":{width},\
+                 \"idle_endpoints\":{idle},\"reps\":{reps},\
+                 \"warm_mean_us\":{warm_mean:.1},\"warm_p95_us\":{warm_p95:.1},\
+                 \"cpu_us_per_call\":{cpu_per_call:.2},\"msgs_per_round\":{msgs_per_round:.0},\
+                 \"servers_consulted\":{consulted},\"servers_pruned\":{pruned},\
+                 \"threads\":{threads},\"dispatch_depth_hw\":{depth_hw},\
+                 \"shed_requests\":{shed}}}",
+                transport.kind(),
+            );
+        }
+    }
+}
+
+/// One warm route leg-matrix scatter round: one `RouteMatrix` envelope
+/// per server through one `Session`.
+fn round(session: &Session, servers: &[EndpointId]) {
+    let calls: Vec<(EndpointId, Vec<Request>)> = servers
+        .iter()
+        .map(|s| {
+            (
+                *s,
+                vec![Request::RouteMatrix {
+                    entries: vec![1],
+                    exits: vec![2, 3],
+                }],
+            )
+        })
+        .collect();
+    for result in session.batch_parallel(calls) {
+        result.expect("sweep branch succeeds");
+    }
 }
 
 fn slow_request_sweep(json: bool) {

@@ -33,6 +33,26 @@ pub fn percentile(values: &mut [f64], p: f64) -> f64 {
     values[rank.min(values.len() - 1)]
 }
 
+/// CPU time this process has used so far, all threads, in
+/// microseconds (`clock_gettime(CLOCK_PROCESS_CPUTIME_ID)`, which
+/// counts nanoseconds where `/proc` counts 10 ms ticks).
+pub fn process_cpu_us() -> u64 {
+    #[repr(C)]
+    struct Timespec {
+        sec: i64,
+        nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+    }
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    let mut ts = Timespec { sec: 0, nsec: 0 };
+    // SAFETY: `ts` is a live, correctly laid out `struct timespec`.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "the process CPU clock is always available");
+    ts.sec as u64 * 1_000_000 + ts.nsec as u64 / 1_000
+}
+
 /// Mean of a sample.
 pub fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -51,6 +71,16 @@ mod tests {
         assert_eq!(percentile(&mut v, 0.0), 1.0);
         assert_eq!(percentile(&mut v, 50.0), 3.0);
         assert_eq!(percentile(&mut v, 100.0), 5.0);
+    }
+
+    #[test]
+    fn process_cpu_clock_advances_with_work() {
+        let t0 = process_cpu_us();
+        let mut x = 0u64;
+        while process_cpu_us() < t0 + 2_000 {
+            x = std::hint::black_box(x.wrapping_add(1));
+        }
+        assert!(x > 0);
     }
 
     #[test]

@@ -93,8 +93,8 @@
 //!   one ranged ack per drained burst, socket buffers sized so a
 //!   196 KB tile burst is queued rather than dropped, and one client
 //!   socket multiplexing every destination. Both the serve side (one
-//!   poll-based thread for every served endpoint's socket) and the
-//!   client side (one poll-driven receiver) run the same drain-and-ack
+//!   epoll-driven thread for every served endpoint's socket) and the
+//!   client side (one epoll-driven receiver) run the same drain-and-ack
 //!   routine, so the whole transport runs on a small constant number
 //!   of threads. No TLS — a documented non-goal of this offline tree.
 //!

@@ -13,8 +13,8 @@
 //!   mirrors the call chains that really nest: `endpoints` is held
 //!   while consulting a connection's demux (`obtain_conn`), a
 //!   connection's `out` queue is held while marking frames sent in the
-//!   demux (`pump_client_write`), and a demux's `pending` map may be
-//!   held while filling a completion cell.
+//!   demux (`ClientConn::enqueue`, `ClientEntry::pump_write`), and a
+//!   demux's `pending` map may be held while filling a completion cell.
 //! - **200–299 — the QuicLite backend.** `client` is the outermost
 //!   lock: `obtain_conn` holds it across conn-id routing, the resume
 //!   cache, the wire's conn registry, the unacked buffer, transmit
@@ -81,12 +81,13 @@ pub const TCP_RNG: Rank = Rank::new(120, "netsim.tcp.rng");
 pub const TCP_STATS: Rank = Rank::new(122, "netsim.tcp.stats");
 /// TCP endpoint table (held while consulting a conn's demux).
 pub const TCP_ENDPOINTS: Rank = Rank::new(130, "netsim.tcp.endpoints");
-/// A TCP client connection's outgoing frame queue (held while marking
-/// frames sent in the demux).
+/// A TCP client connection's outgoing frame queue (held across every
+/// write to the socket, and while marking frames sent in the demux).
 pub const TCP_CONN_OUT: Rank = Rank::new(140, "netsim.tcp.conn_out");
-/// A TCP reactor's command inbox.
+/// A TCP reactor's inbox of sockets handed over for adoption.
 pub const TCP_REACTOR_CMDS: Rank = Rank::new(144, "netsim.tcp.reactor_cmds");
-/// A served TCP connection's finished-reply queue.
+/// A served TCP connection's finished-reply queue (held across every
+/// response write to the socket).
 pub const TCP_SERVE_DONE: Rank = Rank::new(146, "netsim.tcp.serve_done");
 /// The TCP dispatch-pool job queue (held only across `recv`).
 pub const TCP_DISPATCH_QUEUE: Rank = Rank::new(148, "netsim.tcp.dispatch_queue");

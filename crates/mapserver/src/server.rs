@@ -590,9 +590,13 @@ impl MapServer {
         Ok(estimates.into_iter().map(WireEstimate::from).collect())
     }
 
-    /// Rendered tile (ACL-checked; anchored maps only).
+    /// Rendered tile (ACL-checked; anchored maps only). An address
+    /// outside the slippy grid fails without rendering or caching
+    /// anything (spec §2.2).
     pub fn tile(&self, principal: &Principal, coord: TileCoord) -> Result<Arc<Tile>, ServerError> {
-        self.with_renderer(principal, |renderer| renderer.tile(coord))
+        self.with_renderer(principal, |renderer| {
+            in_grid(coord).map(|()| renderer.tile(coord))
+        })?
     }
 
     /// Runs `f` on the tile renderer (ACL-checked under `Tiles`;
@@ -711,7 +715,10 @@ impl MapServer {
             // rendered.
             Request::GetTile { z, x, y } => {
                 let coord = TileCoord { z, x, y };
-                match self.with_renderer(principal, |renderer| renderer.tile_rgb(coord)) {
+                let rgb = self.with_renderer(principal, |renderer| {
+                    in_grid(coord).map(|()| renderer.tile_rgb(coord))
+                });
+                match rgb.and_then(|rgb| rgb) {
                     Ok(rgb) => Response::Tile {
                         z,
                         x,
@@ -748,6 +755,17 @@ impl MapServer {
             }
         }
     }
+}
+
+/// Admits only addresses on the slippy grid (spec §2.2).
+fn in_grid(coord: TileCoord) -> Result<(), ServerError> {
+    if coord.in_grid() {
+        return Ok(());
+    }
+    let TileCoord { z, x, y } = coord;
+    Err(ServerError::Failed(format!(
+        "tile {z}/{x}/{y} is outside the slippy grid"
+    )))
 }
 
 #[cfg(test)]
@@ -1329,6 +1347,29 @@ mod tests {
             venue_server.tile(&Principal::anonymous(), TileCoord { z: 15, x, y }),
             Err(ServerError::NotOffered(_))
         ));
+    }
+
+    #[test]
+    fn out_of_grid_tile_is_an_error_and_caches_nothing() {
+        let net = SimNet::new(1);
+        let world = World::generate(WorldConfig::default());
+        let server = MapServer::spawn(&net, outdoor_config(&world));
+        let anon = Principal::anonymous();
+        for (z, x, y) in [(2, 4, 0), (2, 0, 4), (40, 0, 0)] {
+            let response = server.dispatch(&anon, Request::GetTile { z, x, y });
+            assert!(
+                matches!(response, Response::Error { code: 4, .. }),
+                "z{z}/{x}/{y} answered {response:?}"
+            );
+        }
+        let (renders, cached) = server
+            .with_renderer(&anon, |r| (r.renders_performed(), r.cached_tiles()))
+            .unwrap();
+        assert_eq!(
+            (renders, cached),
+            (0, 0),
+            "nothing rendered, nothing cached"
+        );
     }
 
     #[test]

@@ -6,32 +6,37 @@
 //! servers — runs end to end over actual sockets, not just the
 //! simulator:
 //!
-//! - **Shared reactors**: all socket I/O — client and served sides
-//!   both — runs on a small fixed pool of event-loop threads (default
-//!   `min(cores, 8)`, overridable via [`TcpTransport::with_reactors`])
-//!   multiplexing non-blocking sockets with `poll(2)` readiness. Each
-//!   reactor owns a slab of connections: it drains bounded
-//!   per-connection write buffers on writability, runs non-blocking
-//!   reads through the incremental framing-v2 decoder
+//! - **Shared reactors**: every socket — client and served sides
+//!   both — is registered with one of a small fixed pool of event-loop
+//!   threads (default `min(cores, 8)`, overridable via
+//!   [`TcpTransport::with_reactors`]), each waiting on a level-triggered
+//!   epoll set. A reactor owns a slab of connections: it runs
+//!   non-blocking reads through the incremental framing-v2 decoder
 //!   ([`openflame_codec::framing::FrameDecoder`] — partial frames
-//!   across arbitrary split boundaries are the normal case), and
-//!   demultiplexes responses by correlation id. Thread count is
-//!   O(reactor pool + dispatch pool) — **independent of servers,
-//!   connections, fan-out width and call volume**; the pipelining
-//!   stress test pins this down at 128 servers × 8 sessions.
+//!   across arbitrary split boundaries are the normal case),
+//!   demultiplexes responses by correlation id, accepts connections,
+//!   writes responses, and writes whatever a submitter's direct write
+//!   left over. A socket is
+//!   registered once and its interest changed only when it really
+//!   changes, so an event costs work for the ready sockets only; the
+//!   whole slab is revisited only after the reactor's eventfd waker
+//!   fired. Thread count is O(reactor pool + dispatch pool) —
+//!   **independent of servers, connections, fan-out width and call
+//!   volume**; the pipelining stress test pins this down at 128
+//!   servers × 8 sessions.
 //! - **Served endpoints** bind a `127.0.0.1:0` listener registered
 //!   with a reactor; accepted connections are spread across the pool.
 //!   Decoded requests go to a transport-wide dispatch pool of
 //!   [`DISPATCH_POOL`] workers which invoke the bound [`WireService`]
-//!   concurrently; completed responses return to the connection's
-//!   reactor, which emits frames in **completion order** with the
-//!   request's correlation id echoed — a slow request head-of-line
-//!   blocks only its own completion, never the pipelined requests
-//!   behind it. Each connection holds at most [`SERVE_PIPELINE`]
-//!   decoded requests in dispatch; past that the reactor drops the
-//!   connection's read interest (readiness-deregistration
-//!   backpressure) until responses drain — bounded buffering without
-//!   a blocked reader thread.
+//!   concurrently. The worker frames its response and queues it for
+//!   the reactor in **completion order**, with the request's
+//!   correlation id echoed, waking the reactor when the queue was
+//!   empty: a slow request head-of-line blocks only its own
+//!   completion, never the pipelined requests behind it. Each connection holds at most
+//!   [`SERVE_PIPELINE`] decoded requests in dispatch; past that the
+//!   reactor drops the connection's read interest
+//!   (readiness-deregistration backpressure) until responses drain —
+//!   bounded buffering without a blocked reader thread.
 //! - **Admission control**: a served endpoint with an
 //!   [`OverloadPolicy`] installed counts requests queued-or-executing
 //!   in dispatch across all its connections and answers excess
@@ -46,12 +51,16 @@
 //!   by correlation id. A scatter over 64 servers reuses the same 64
 //!   warm connections round after round on the same handful of
 //!   reactor threads.
-//! - **Submit/completion**: [`Transport::submit`] encodes the frame,
-//!   appends it to the connection's write queue, wakes the owning
-//!   reactor and returns a [`CallHandle`] immediately — it never
-//!   blocks on a dial (connects are non-blocking too; N cold dials to
-//!   N servers proceed concurrently). Waiting on the handle parks on
-//!   a completion cell the reactor fills. Bounded fan-out falls out
+//! - **Submit/completion**: [`Transport::submit`] encodes the frame
+//!   and, on an established connection with nothing queued, writes it
+//!   to the non-blocking socket itself; only a remainder the socket
+//!   would not take is queued for the owning reactor, which is then
+//!   woken. It returns a [`CallHandle`] at once and never blocks on a
+//!   dial (connects are non-blocking too; frames queue behind the
+//!   handshake, and N cold dials to N servers proceed concurrently).
+//!   Waiting on the handle parks on a completion cell the reactor
+//!   fills. A warm call thus wakes a reactor at most once, for its
+//!   response. Bounded fan-out falls out
 //!   of the pool: at most [`POOL_CAP`] connections per destination,
 //!   each pipelining up to [`PIPELINE_DEPTH`] requests before another
 //!   connection is dialed; beyond that, requests queue on the
@@ -89,7 +98,9 @@
 //! dispatch pool. This backend is built for tests, benches and
 //! single-process demos, not as a hardened production server.
 
-use crate::reactor::{connect_nonblocking, poll_fds, PollFd, Waker, POLLIN, POLLOUT};
+use crate::reactor::{
+    connect_nonblocking, Epoll, EpollEvent, Waker, EPOLLIN, EPOLLOUT, WAKER_TOKEN,
+};
 use crate::stats::{EndpointLatency, EndpointStats, NetStats};
 use crate::transport::{
     CallHandle, DispatchGauge, OverloadPolicy, PendingCall, Transfer, Transport, WireService,
@@ -103,7 +114,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -323,12 +334,18 @@ struct OutQueue {
     /// Set by the reactor when the connection dies: enqueue attempts
     /// fail fast instead of queueing frames nobody will ever write.
     closed: bool,
+    /// Set by the reactor once the handshake completes; from then on a
+    /// submitter that finds the queue empty writes its frame itself.
+    established: bool,
+    /// Frames waiting for the socket in submission order; the front
+    /// one may be part-written.
     frames: VecDeque<OutFrame>,
 }
 
-/// One pooled, pipelined client connection. The socket itself lives in
-/// the owning reactor's slab; submitters only touch the write queue
-/// and the demux.
+/// One pooled, pipelined client connection. The owning reactor reads
+/// the socket; writes go through whoever holds `out` — the submitter
+/// itself when nothing is queued, the reactor for what the socket
+/// would not take at once.
 struct ClientConn {
     addr: SocketAddr,
     demux: Arc<Demux>,
@@ -340,79 +357,123 @@ struct ClientConn {
     /// failing whatever is in flight (a crashed server does not drain
     /// gracefully).
     kill: AtomicBool,
+    /// The socket; `None` only when the dial failed synchronously (the
+    /// connection is then born closed and never registered).
+    stream: Option<TcpStream>,
     out: OrderedMutex<OutQueue>,
-    /// The reactor that owns the socket — woken on every enqueue.
+    /// The reactor that owns the socket — woken when a frame is left
+    /// queued for it.
     reactor: Arc<ReactorShared>,
 }
 
 impl ClientConn {
-    /// Queues a frame for the reactor; `Err` when the connection is
-    /// already closed (so the caller can re-route without re-sending
-    /// anything — the frame never touched the socket).
-    fn enqueue(&self, frame: OutFrame) -> Result<(), ()> {
-        {
-            let mut out = self.out.lock();
-            if out.closed {
-                return Err(());
-            }
-            out.frames.push_back(frame);
+    /// Sends a frame. On an established connection with nothing queued
+    /// the frame goes straight onto the socket, under the `out` lock
+    /// that serializes every write of this connection; the reactor gets
+    /// only what the socket would not take at once (or a write error to
+    /// diagnose). Frames queue behind a pending handshake or earlier
+    /// frames. `Err` when the connection is already closed (so the
+    /// caller can re-route without re-sending anything — the frame
+    /// never touched the socket).
+    fn enqueue(&self, mut frame: OutFrame) -> Result<(), ()> {
+        let mut out = self.out.lock();
+        if out.closed {
+            return Err(());
         }
-        self.reactor.waker.wake();
+        // Only a direct write's remainder needs a wake: before the
+        // handshake completes the reactor watches writability anyway,
+        // and frames behind others ride the interest the first one
+        // raised.
+        let direct = out.established && out.frames.is_empty();
+        if direct {
+            if let Some(stream) = &self.stream {
+                // The frame is going onto the socket now: even if the
+                // write (or the whole call) fails from here on, its
+                // request bytes count as wire traffic.
+                self.demux.mark_sent(frame.corr);
+                if let Ok(true) = write_some(stream, &frame.buf, &mut frame.off) {
+                    return Ok(());
+                }
+                #[cfg(test)]
+                self.reactor
+                    .probe
+                    .client_remainders
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        out.frames.push_back(frame);
+        drop(out);
+        if direct {
+            self.reactor.waker.wake();
+        }
         Ok(())
     }
+}
+
+/// Writes as much of `buf[*off..]` as the non-blocking socket takes
+/// now, advancing `off`: `Ok(true)` once the whole buffer is out,
+/// `Ok(false)` when the socket would block first.
+fn write_some(stream: &TcpStream, buf: &[u8], off: &mut usize) -> io::Result<bool> {
+    let mut stream = stream;
+    while *off < buf.len() {
+        match stream.write(&buf[*off..]) {
+            Ok(0) => return Err(io::Error::new(io::ErrorKind::WriteZero, "wrote zero bytes")),
+            Ok(n) => *off += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(true)
 }
 
 // ---------------------------------------------------------------------
 // Reactor pool.
 // ---------------------------------------------------------------------
 
-/// Registration commands handed to a reactor from other threads.
-enum Cmd {
-    /// Adopt a freshly dialed client connection (socket may still be
-    /// mid-handshake).
-    Client {
-        conn: Arc<ClientConn>,
-        stream: TcpStream,
-    },
-    /// Adopt a served endpoint's listener.
-    Listener {
-        listener: TcpListener,
-        me: u64,
-        down: Arc<AtomicBool>,
-        service: Arc<dyn WireService>,
-        dispatch: mpsc::Sender<ServeJob>,
-        gauge: Arc<DispatchGauge>,
-        shed: Arc<AtomicU64>,
-    },
-    /// Adopt an accepted server-side connection.
-    Served {
-        stream: TcpStream,
-        me: u64,
-        down: Arc<AtomicBool>,
-        service: Arc<dyn WireService>,
-        dispatch: mpsc::Sender<ServeJob>,
-        shared: Arc<SrvShared>,
-        gauge: Arc<DispatchGauge>,
-        shed: Arc<AtomicU64>,
-    },
-}
-
-/// The cross-thread face of one reactor: a command queue plus the
-/// waker that pops its `poll`.
+/// The cross-thread face of one reactor: a queue of sockets to adopt
+/// plus the waker that pops its `epoll_wait`.
 struct ReactorShared {
-    cmds: OrderedMutex<Vec<Cmd>>,
+    adopt: OrderedMutex<Vec<Entry>>,
     waker: Waker,
+    #[cfg(test)]
+    probe: ReactorProbe,
 }
 
 impl ReactorShared {
-    fn push(&self, cmd: Cmd) {
-        self.cmds.lock().push(cmd);
+    fn new() -> Self {
+        Self {
+            adopt: OrderedMutex::new(ranks::TCP_REACTOR_CMDS, Vec::new()),
+            waker: Waker::new().expect("create reactor waker"),
+            #[cfg(test)]
+            probe: ReactorProbe::default(),
+        }
+    }
+
+    /// Hands a socket to this reactor from another thread.
+    fn push(&self, entry: Entry) {
+        self.adopt.lock().push(entry);
         self.waker.wake();
     }
 
-    fn take_cmds(&self) -> Vec<Cmd> {
-        std::mem::take(&mut *self.cmds.lock())
+    fn take_adopted(&self) -> Vec<Entry> {
+        std::mem::take(&mut *self.adopt.lock())
     }
+}
+
+/// Test-only counts of one reactor's work.
+#[cfg(test)]
+#[derive(Default)]
+struct ReactorProbe {
+    /// Returns from `epoll_wait`, whatever woke it.
+    loops: AtomicU64,
+    /// Loop rounds in which the waker had fired.
+    wakes: AtomicU64,
+    /// Frames a submitter's direct write left (part-)unwritten.
+    client_remainders: AtomicU64,
+    /// While set, every `epoll_ctl` registration change fails as if
+    /// the kernel were out of watches.
+    refuse_registration: AtomicBool,
 }
 
 struct ReactorPool {
@@ -590,18 +651,17 @@ impl TcpTransport {
             return pool.clone();
         }
         let handles: Vec<Arc<ReactorShared>> = (0..self.inner.reactor_count)
-            .map(|_| {
-                Arc::new(ReactorShared {
-                    cmds: OrderedMutex::new(ranks::TCP_REACTOR_CMDS, Vec::new()),
-                    waker: Waker::new().expect("create reactor waker"),
-                })
-            })
+            .map(|_| Arc::new(ReactorShared::new()))
             .collect();
         let pool = Arc::new(ReactorPool {
             handles,
             next: AtomicUsize::new(0),
         });
         for idx in 0..self.inner.reactor_count {
+            let epoll = Epoll::new().expect("create reactor epoll set");
+            epoll
+                .add(pool.handles[idx].waker.fd(), WAKER_TOKEN, EPOLLIN)
+                .expect("register reactor waker");
             let guard = ThreadGuard::enter(&self.inner.threads);
             let pool = pool.clone();
             let shutdown = self.inner.shutdown.clone();
@@ -609,7 +669,7 @@ impl TcpTransport {
                 .name(format!("ofl-tcp-reactor-{idx}"))
                 .spawn(move || {
                     let _guard = guard;
-                    run_reactor(idx, pool, shutdown);
+                    run_reactor(idx, epoll, pool, shutdown);
                 })
                 .expect("spawn reactor");
         }
@@ -646,23 +706,30 @@ impl TcpTransport {
     fn dial(&self, addr: SocketAddr) -> Arc<ClientConn> {
         let pool = self.reactor_pool();
         let target = pool.pick();
+        let (stream, failure) = match connect_nonblocking(&addr) {
+            Ok(stream) => {
+                let _ = stream.set_nodelay(true);
+                (Some(stream), None)
+            }
+            Err(e) => (None, Some(e)),
+        };
         let conn = Arc::new(ClientConn {
             addr,
             demux: Arc::new(Demux::new(self.inner.orphans.clone())),
             broken: Arc::new(AtomicBool::new(false)),
             kill: AtomicBool::new(false),
+            stream,
             out: OrderedMutex::new(ranks::TCP_CONN_OUT, OutQueue::default()),
             reactor: target.clone(),
         });
-        match connect_nonblocking(&addr) {
-            Ok(stream) => {
-                let _ = stream.set_nodelay(true);
-                target.push(Cmd::Client {
-                    conn: conn.clone(),
-                    stream,
-                });
-            }
-            Err(e) => {
+        match failure {
+            None => target.push(Entry::Client(ClientEntry {
+                conn: conn.clone(),
+                connecting: true,
+                decoder: FrameDecoder::new(),
+                dead: false,
+            })),
+            Some(e) => {
                 // Synchronous dial failure (fd exhaustion, bad addr):
                 // the connection is born dead; submit's closed-queue
                 // check routes around it.
@@ -733,8 +800,8 @@ impl TcpTransport {
         }
         let (conn, reused) = self.obtain_conn(to, addr, force_fresh);
         let corr = self.inner.next_corr.fetch_add(1, Ordering::Relaxed);
-        // Encode up front (the reactor writes raw buffers); the
-        // payload stays owned here for the retry paths.
+        // Encode up front (sockets take raw buffers); the payload stays
+        // owned here for the retry paths.
         let mut buf = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
         write_frame(&mut buf, from.0, corr, &payload)
             .map_err(|e| NetError::Connection(format!("encode frame: {e}")))?;
@@ -999,7 +1066,7 @@ impl Transport for TcpTransport {
         };
         let dispatch = self.dispatch_sender();
         let pool = self.reactor_pool();
-        pool.pick().push(Cmd::Listener {
+        pool.pick().push(Entry::Listener(ListenerEntry {
             listener,
             me: id.0,
             down,
@@ -1007,7 +1074,7 @@ impl Transport for TcpTransport {
             dispatch,
             gauge,
             shed: self.inner.shed.clone(),
-        });
+        }));
     }
 
     fn submit(&self, from: EndpointId, to: EndpointId, payload: Vec<u8>) -> CallHandle {
@@ -1145,24 +1212,60 @@ struct ServeJob {
     admit_key: Option<u64>,
 }
 
-/// One computed response on its way back to its connection's reactor.
-/// `response` is `None` when the service panicked on this request —
-/// the reactor cuts the connection (crash semantics) instead of
-/// leaving the caller to its timeout.
-struct SrvDone {
-    corr: u64,
-    response: Option<Vec<u8>>,
+/// A response frame part-way through its write.
+struct WriteBuf {
+    buf: Vec<u8>,
+    off: usize,
 }
 
-/// The dispatch-facing half of one server connection: workers push
-/// completion-order results here and wake the owning reactor, which
-/// writes them out in that order.
-struct SrvShared {
-    done: OrderedMutex<VecDeque<SrvDone>>,
+/// One reply on its way onto a served connection. `None` marks a
+/// request whose service panicked (or whose response cannot be
+/// framed): when the writer reaches it the connection is cut instead
+/// of answered — crash semantics, not a silent stall to the caller's
+/// timeout.
+type Reply = Option<WriteBuf>;
+
+/// Frames one response for the wire; `None` when it cannot be framed
+/// (oversized), which cuts the connection like a panic.
+fn frame_reply(me: u64, corr: u64, response: &[u8]) -> Reply {
+    let mut buf = Vec::with_capacity(FRAME_HEADER_LEN + response.len());
+    write_frame(&mut buf, me, corr, response).ok()?;
+    Some(WriteBuf { buf, off: 0 })
+}
+
+#[derive(Default)]
+struct ServeOut {
     /// Set when the connection is torn down: late results are dropped
     /// instead of queued for a writer that no longer exists.
-    dead: AtomicBool,
+    dead: bool,
+    /// Replies waiting for the socket in completion order; the front
+    /// one may be part-written.
+    frames: VecDeque<Reply>,
+}
+
+/// The dispatch-facing half of one server connection: workers queue
+/// their framed responses here in completion order and wake the owning
+/// reactor, which writes them out in that order.
+struct SrvShared {
+    /// The serving endpoint: the sender id of every response frame.
+    me: u64,
+    out: OrderedMutex<ServeOut>,
     reactor: Arc<ReactorShared>,
+}
+
+impl SrvShared {
+    /// Queues one reply for the reactor; returns whether the reactor
+    /// must be woken to write it (nothing was queued ahead of it — a
+    /// reply behind others rides the interest the first one raised).
+    fn reply(&self, reply: Reply) -> bool {
+        let mut out = self.out.lock();
+        if out.dead {
+            return false;
+        }
+        let first = out.frames.is_empty();
+        out.frames.push_back(reply);
+        first
+    }
 }
 
 /// Spawns the transport-wide dispatch pool: [`DISPATCH_POOL`] workers
@@ -1202,12 +1305,10 @@ fn spawn_dispatch_pool(threads: &Arc<AtomicUsize>) -> mpsc::Sender<ServeJob> {
                     // endpoint-wide depth must drain even when the
                     // requester is gone.
                     job.gauge.release(job.admit_key);
-                    if !job.shared.dead.load(Ordering::SeqCst) {
-                        job.shared.done.lock().push_back(SrvDone {
-                            corr: job.corr,
-                            response,
-                        });
-                        job.shared.reactor.waker.wake();
+                    let shared = &job.shared;
+                    let reply = response.and_then(|r| frame_reply(shared.me, job.corr, &r));
+                    if shared.reply(reply) {
+                        shared.reactor.waker.wake();
                     }
                 }
             })
@@ -1223,7 +1324,6 @@ fn spawn_dispatch_pool(threads: &Arc<AtomicUsize>) -> mpsc::Sender<ServeJob> {
 /// A client connection as its reactor sees it.
 struct ClientEntry {
     conn: Arc<ClientConn>,
-    stream: TcpStream,
     /// Still mid-handshake: watch for writability, then check
     /// `SO_ERROR` before first use.
     connecting: bool,
@@ -1242,16 +1342,9 @@ struct ListenerEntry {
     shed: Arc<AtomicU64>,
 }
 
-/// A response frame part-way through its write.
-struct WriteBuf {
-    buf: Vec<u8>,
-    off: usize,
-}
-
 /// A server-side connection as its reactor sees it.
 struct ServedEntry {
     stream: TcpStream,
-    me: u64,
     down: Arc<AtomicBool>,
     service: Arc<dyn WireService>,
     dispatch: mpsc::Sender<ServeJob>,
@@ -1262,7 +1355,6 @@ struct ServedEntry {
     /// Requests dispatched but not yet fully answered on the wire —
     /// the [`SERVE_PIPELINE`] gate's counter.
     in_dispatch: usize,
-    cur: Option<WriteBuf>,
     /// False after EOF or a read error: stop reading, keep draining
     /// responses (a half-closed peer still receives every answer it
     /// pipelined).
@@ -1276,489 +1368,540 @@ enum Entry {
     Served(ServedEntry),
 }
 
-/// One reactor thread: poll readiness, pump non-blocking reads through
-/// the incremental decoder, drain write queues, accept connections —
-/// for every socket in its slab. Exits when the transport shuts down,
-/// dropping the slab (which closes every fd and releases every
-/// service/dispatch handle it held).
-fn run_reactor(idx: usize, pool: Arc<ReactorPool>, shutdown: Arc<AtomicBool>) {
-    let shared = pool.handles[idx].clone();
-    let mut entries: Vec<Entry> = Vec::new();
-    let mut fds: Vec<PollFd> = Vec::new();
-    let mut owners: Vec<usize> = Vec::new();
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
+impl Entry {
+    fn fd(&self) -> RawFd {
+        match self {
+            Entry::Client(c) => c.stream().as_raw_fd(),
+            Entry::Listener(l) => l.listener.as_raw_fd(),
+            Entry::Served(s) => s.stream.as_raw_fd(),
+        }
+    }
+
+    /// Retires what has finished and reports the readiness the entry
+    /// now waits for; `None` means remove it from the slab. An entry
+    /// that waits for nothing (a gated server connection with nothing
+    /// to write) reports `Some(0)` and leaves the epoll set until a
+    /// wake brings it back.
+    fn settle(&mut self) -> Option<u32> {
+        match self {
+            Entry::Listener(_) => Some(EPOLLIN),
+            Entry::Client(c) => c.settle(),
+            Entry::Served(s) => s.settle(),
+        }
+    }
+
+    /// Fails the entry for an I/O error outside its own socket calls:
+    /// a client connection dies (failing its calls), a served one is
+    /// cut, and a dropped listener closes, so dials to it are refused.
+    fn fail(&mut self, e: &io::Error) {
+        match self {
+            Entry::Listener(_) => {}
+            Entry::Client(c) => c.die(e.kind(), &format!("cannot watch connection: {e}")),
+            Entry::Served(s) => s.cut(),
+        }
+    }
+}
+
+/// One slab slot: an entry and the interest its socket is registered
+/// with (0 = not in the epoll set).
+struct Slot {
+    entry: Entry,
+    interest: u32,
+}
+
+/// One reactor's sockets: a slab indexed by epoll token.
+struct Slab {
+    epoll: Epoll,
+    shared: Arc<ReactorShared>,
+    slots: Vec<Option<Slot>>,
+    free: Vec<usize>,
+}
+
+impl Slab {
+    fn adopt(&mut self, entry: Entry) {
+        let slot = Some(Slot { entry, interest: 0 });
+        match self.free.pop() {
+            Some(idx) => self.slots[idx] = slot,
+            None => self.slots.push(slot),
+        }
+    }
+
+    /// Settles one entry and brings its epoll registration in line:
+    /// `EPOLL_CTL_MOD` only when the interest really changed, `DEL`
+    /// when it dropped to nothing or the entry retired.
+    fn settle(&mut self, idx: usize) {
+        let Some(mut slot) = self.slots.get_mut(idx).and_then(Option::take) else {
             return;
-        }
-        for cmd in shared.take_cmds() {
-            entries.push(match cmd {
-                Cmd::Client { conn, stream } => Entry::Client(ClientEntry {
-                    conn,
-                    stream,
-                    connecting: true,
-                    decoder: FrameDecoder::new(),
-                    dead: false,
-                }),
-                Cmd::Listener {
-                    listener,
-                    me,
-                    down,
-                    service,
-                    dispatch,
-                    gauge,
-                    shed,
-                } => Entry::Listener(ListenerEntry {
-                    listener,
-                    me,
-                    down,
-                    service,
-                    dispatch,
-                    gauge,
-                    shed,
-                }),
-                Cmd::Served {
-                    stream,
-                    me,
-                    down,
-                    service,
-                    dispatch,
-                    shared,
-                    gauge,
-                    shed,
-                } => Entry::Served(ServedEntry {
-                    stream,
-                    me,
-                    down,
-                    service,
-                    dispatch,
-                    shared,
-                    gauge,
-                    shed,
-                    decoder: FrameDecoder::new(),
-                    in_dispatch: 0,
-                    cur: None,
-                    read_open: true,
-                    dead: false,
-                }),
-            });
-        }
-        // Retire sweep: externally killed connections, broken ones
-        // that drained, gracefully finished server connections, and
-        // everything that died during the last event round.
-        entries.retain_mut(|entry| match entry {
-            Entry::Listener(_) => true,
-            Entry::Client(c) => {
-                if !c.dead && c.conn.kill.load(Ordering::SeqCst) {
-                    client_death(c, io::ErrorKind::UnexpectedEof, "connection force-closed");
+        };
+        match slot.entry.settle() {
+            Some(want) if want == slot.interest => {}
+            Some(want) => match self.register(slot.entry.fd(), idx as u64, slot.interest, want) {
+                Ok(()) => slot.interest = want,
+                // A socket the kernel will not watch (ENOMEM, the
+                // max_user_watches limit) would never be looked at
+                // again: fail it now rather than leave its calls to
+                // their timeouts.
+                Err(e) => {
+                    slot.entry.fail(&e);
+                    return self.retire(idx, slot);
                 }
-                if !c.dead && c.conn.broken.load(Ordering::SeqCst) {
-                    if c.connecting {
-                        // Broken before the handshake resolved: writes
-                        // are gated on a connect that may never finish,
-                        // so waiting for the queue to drain would leak
-                        // the entry (and its fd) forever. Nothing ever
-                        // hit the wire, so failing the queued frames
-                        // cannot orphan a response.
-                        client_death(
-                            c,
-                            io::ErrorKind::ConnectionAborted,
-                            "connection abandoned mid-handshake",
-                        );
-                    } else {
-                        // Externally marked stale (timeout pruning):
-                        // keep serving in-flight siblings, close once
-                        // drained.
-                        let drained =
-                            c.conn.demux.in_flight() == 0 && c.conn.out.lock().frames.is_empty();
-                        if drained {
-                            c.conn.out.lock().closed = true;
-                            let _ = c.stream.shutdown(Shutdown::Both);
-                            c.dead = true;
-                        }
-                    }
-                }
-                !c.dead
+            },
+            None => return self.retire(idx, slot),
+        }
+        self.slots[idx] = Some(slot);
+    }
+
+    /// Drops a finished entry out of the epoll set and the slab.
+    fn retire(&mut self, idx: usize, slot: Slot) {
+        if slot.interest != 0 {
+            let _ = self.epoll.delete(slot.entry.fd());
+        }
+        self.free.push(idx);
+    }
+
+    /// Moves `fd`'s registration from interest `have` to `want`
+    /// (0 = not in the set).
+    fn register(&self, fd: RawFd, token: u64, have: u32, want: u32) -> io::Result<()> {
+        #[cfg(test)]
+        if self.shared.probe.refuse_registration.load(Ordering::SeqCst) {
+            return Err(io::Error::from_raw_os_error(28)); // ENOSPC
+        }
+        if have == 0 {
+            self.epoll.add(fd, token, want)
+        } else if want == 0 {
+            self.epoll.delete(fd)
+        } else {
+            self.epoll.modify(fd, token, want)
+        }
+    }
+
+    /// The waker fired: adopt handed-over sockets, then settle every
+    /// entry — the only moment the reactor looks at all of them, since
+    /// state other threads change (kill/broken flags, queued requests
+    /// and responses) always comes with a wake.
+    fn sweep(&mut self) {
+        for entry in self.shared.take_adopted() {
+            self.adopt(entry);
+        }
+        for idx in 0..self.slots.len() {
+            self.settle(idx);
+        }
+    }
+
+    fn handle(&mut self, idx: usize, ready: EpollEvent, pool: &Arc<ReactorPool>) {
+        let Some(slot) = self.slots.get_mut(idx).and_then(Option::as_mut) else {
+            return;
+        };
+        match &mut slot.entry {
+            Entry::Client(c) => c.handle(ready),
+            Entry::Listener(l) => l.accept_all(pool),
+            Entry::Served(s) => s.handle(ready),
+        }
+        self.settle(idx);
+    }
+}
+
+/// One reactor thread: wait for readiness, pump non-blocking reads
+/// through the incremental decoder, write responses and request
+/// remainders, accept connections — for every socket in its slab. An event costs work for
+/// the ready sockets only; the whole slab is revisited only after the
+/// waker fired. Exits when the transport shuts down, dropping the slab
+/// (which closes every fd it owns and releases every service/dispatch
+/// handle it held).
+fn run_reactor(idx: usize, epoll: Epoll, pool: Arc<ReactorPool>, shutdown: Arc<AtomicBool>) {
+    let shared = pool.handles[idx].clone();
+    let mut slab = Slab {
+        epoll,
+        shared: shared.clone(),
+        slots: Vec::new(),
+        free: Vec::new(),
+    };
+    let mut events = vec![EpollEvent::EMPTY; 256];
+    // The first round adopts whatever was handed over before the
+    // thread started.
+    let mut woke = true;
+    loop {
+        if woke {
+            if shutdown.load(Ordering::SeqCst) {
+                return;
             }
-            Entry::Served(s) => {
-                if !s.dead
-                    && !s.read_open
-                    && s.in_dispatch == 0
-                    && s.cur.is_none()
-                    && s.shared.done.lock().is_empty()
-                {
-                    // Peer hung up and every pipelined response has
-                    // been delivered: done.
-                    s.dead = true;
-                }
-                if s.dead {
-                    s.shared.dead.store(true, Ordering::SeqCst);
-                    let _ = s.stream.shutdown(Shutdown::Both);
-                }
-                !s.dead
-            }
-        });
-        fds.clear();
-        owners.clear();
-        fds.push(PollFd::new(shared.waker.rx_fd(), POLLIN));
-        owners.push(usize::MAX);
-        for (i, entry) in entries.iter().enumerate() {
-            if let Some(fd) = interest(entry) {
-                fds.push(fd);
-                owners.push(i);
-            }
+            slab.sweep();
         }
-        if poll_fds(&mut fds, -1).is_err() {
-            // EBADF/ENOMEM-class failure: back off instead of spinning.
-            thread::sleep(Duration::from_millis(1));
-            continue;
-        }
-        if fds[0].readable() {
-            shared.waker.drain();
-        }
-        for k in 1..fds.len() {
-            let ready = fds[k];
-            if ready.revents == 0 {
+        woke = false;
+        let ready = match slab.epoll.wait(&mut events, -1) {
+            Ok(n) => n,
+            Err(_) => {
+                // EBADF/ENOMEM-class failure: back off instead of
+                // spinning.
+                thread::sleep(Duration::from_millis(1));
                 continue;
             }
-            match &mut entries[owners[k]] {
-                Entry::Client(c) => handle_client(c, ready),
-                Entry::Listener(l) => handle_listener(l, &pool),
-                Entry::Served(s) => handle_served(s, ready),
+        };
+        #[cfg(test)]
+        shared.probe.loops.fetch_add(1, Ordering::Relaxed);
+        for event in &events[..ready] {
+            match event.token() {
+                WAKER_TOKEN => woke = true,
+                token => slab.handle(token as usize, *event, &pool),
             }
+        }
+        if woke {
+            #[cfg(test)]
+            shared.probe.wakes.fetch_add(1, Ordering::Relaxed);
+            shared.waker.drain();
         }
     }
 }
 
-/// The poll interest of one slab entry; `None` keeps the fd out of
-/// this round entirely (dead, or — for a fully gated server
-/// connection — nothing to wait for until the waker fires).
-fn interest(entry: &Entry) -> Option<PollFd> {
-    match entry {
-        Entry::Listener(l) => Some(PollFd::new(l.listener.as_raw_fd(), POLLIN)),
-        Entry::Client(c) => {
-            if c.dead {
-                return None;
-            }
-            let mut events = 0i16;
-            if c.connecting {
-                events |= POLLOUT;
-            } else {
-                events |= POLLIN;
-                if !c.conn.out.lock().frames.is_empty() {
-                    events |= POLLOUT;
+impl ClientEntry {
+    fn stream(&self) -> &TcpStream {
+        self.conn
+            .stream
+            .as_ref()
+            .expect("only dialed connections reach a reactor")
+    }
+
+    /// Retires externally killed connections and broken ones that
+    /// drained; otherwise the interest: writability while connecting,
+    /// then readability plus writability while frames are queued.
+    fn settle(&mut self) -> Option<u32> {
+        if !self.dead && self.conn.kill.load(Ordering::SeqCst) {
+            self.die(io::ErrorKind::UnexpectedEof, "connection force-closed");
+        }
+        if !self.dead && self.conn.broken.load(Ordering::SeqCst) {
+            if self.connecting {
+                // Broken before the handshake resolved: writes are
+                // gated on a connect that may never finish, so waiting
+                // for the queue to drain would leak the entry (and its
+                // fd) forever. Nothing ever hit the wire, so failing
+                // the queued frames cannot orphan a response.
+                self.die(
+                    io::ErrorKind::ConnectionAborted,
+                    "connection abandoned mid-handshake",
+                );
+            } else if self.conn.demux.in_flight() == 0 {
+                // Externally marked stale (timeout pruning): keep
+                // serving in-flight siblings, close once drained.
+                let mut out = self.conn.out.lock();
+                if out.frames.is_empty() {
+                    out.closed = true;
+                    drop(out);
+                    let _ = self.stream().shutdown(Shutdown::Both);
+                    self.dead = true;
                 }
             }
-            Some(PollFd::new(c.stream.as_raw_fd(), events))
         }
-        Entry::Served(s) => {
-            if s.dead {
-                return None;
-            }
-            let mut events = 0i16;
-            if s.read_open && s.in_dispatch < SERVE_PIPELINE {
-                // The readiness-deregistration backpressure gate: a
-                // saturated connection simply stops watching for
-                // readability.
-                events |= POLLIN;
-            }
-            if s.cur.is_some() || !s.shared.done.lock().is_empty() {
-                events |= POLLOUT;
-            }
-            if events == 0 {
-                return None;
-            }
-            Some(PollFd::new(s.stream.as_raw_fd(), events))
+        if self.dead {
+            return None;
+        }
+        if self.connecting {
+            return Some(EPOLLOUT);
+        }
+        if self.conn.out.lock().frames.is_empty() {
+            Some(EPOLLIN)
+        } else {
+            Some(EPOLLIN | EPOLLOUT)
         }
     }
-}
 
-/// Kills a client connection: fail every in-flight request, refuse
-/// further enqueues, mark for removal from the slab.
-fn client_death(c: &mut ClientEntry, kind: io::ErrorKind, msg: &str) {
-    c.conn.broken.store(true, Ordering::SeqCst);
-    {
-        let mut out = c.conn.out.lock();
-        out.closed = true;
-        out.frames.clear();
+    /// Kills the connection: fail every in-flight request, refuse
+    /// further enqueues, mark for removal from the slab.
+    fn die(&mut self, kind: io::ErrorKind, msg: &str) {
+        self.conn.broken.store(true, Ordering::SeqCst);
+        {
+            let mut out = self.conn.out.lock();
+            out.closed = true;
+            out.frames.clear();
+        }
+        // Queued-but-unwritten frames were registered too: the sweep
+        // fails them alongside the written ones (their cells carry
+        // `sent == false`, so they charge nothing).
+        self.conn.demux.fail_all(kind, msg);
+        let _ = self.stream().shutdown(Shutdown::Both);
+        self.dead = true;
     }
-    // Queued-but-unwritten frames were registered too: the sweep
-    // fails them alongside the written ones (their cells carry
-    // `sent == false`, so they charge nothing).
-    c.conn.demux.fail_all(kind, msg);
-    let _ = c.stream.shutdown(Shutdown::Both);
-    c.dead = true;
-}
 
-fn handle_client(c: &mut ClientEntry, ready: PollFd) {
-    if c.connecting && ready.writable() {
-        match c.stream.take_error() {
-            Ok(None) => c.connecting = false,
-            Ok(Some(e)) | Err(e) => {
-                let addr = c.conn.addr;
-                client_death(c, e.kind(), &format!("dial {addr}: {e}"));
+    fn handle(&mut self, ready: EpollEvent) {
+        if self.dead {
+            return;
+        }
+        if self.connecting && ready.writable() {
+            match self.stream().take_error() {
+                Ok(None) => {
+                    self.connecting = false;
+                    self.conn.out.lock().established = true;
+                }
+                Ok(Some(e)) | Err(e) => {
+                    let addr = self.conn.addr;
+                    self.die(e.kind(), &format!("dial {addr}: {e}"));
+                    return;
+                }
+            }
+        }
+        if !self.connecting && ready.writable() {
+            if let Err(e) = self.pump_write() {
+                // Every write failure reads as BrokenPipe, so retry
+                // eligibility does not depend on which errno the
+                // kernel picked.
+                self.die(
+                    io::ErrorKind::BrokenPipe,
+                    &format!("connection writer failed: {e}"),
+                );
                 return;
             }
         }
-    }
-    if !c.dead && !c.connecting && ready.writable() {
-        if let Err(e) = pump_client_write(c) {
-            // The old writer thread reported every write failure as
-            // BrokenPipe; keep that so retry eligibility is unchanged.
-            client_death(
-                c,
-                io::ErrorKind::BrokenPipe,
-                &format!("connection writer failed: {e}"),
-            );
-            return;
+        if !self.connecting && ready.readable() {
+            if let Err((kind, msg)) = self.pump_read() {
+                self.die(kind, &msg);
+            }
         }
     }
-    if !c.dead && !c.connecting && ready.readable() {
-        if let Err((kind, msg)) = pump_client_read(c) {
-            client_death(c, kind, &msg);
-        }
-    }
-}
 
-/// Drains the connection's write queue into the socket until it would
-/// block or empties.
-fn pump_client_write(c: &mut ClientEntry) -> io::Result<()> {
-    let mut out = c.conn.out.lock();
-    while let Some(frame) = out.frames.front_mut() {
-        if frame.off == 0 {
-            // The frame is going onto the socket now: even if the
-            // write (or the whole call) fails from here on, its
-            // request bytes count as wire traffic.
-            c.conn.demux.mark_sent(frame.corr);
+    /// Drains the connection's write queue into the socket until it
+    /// would block or empties.
+    fn pump_write(&self) -> io::Result<()> {
+        let mut out = self.conn.out.lock();
+        while let Some(frame) = out.frames.front_mut() {
+            if frame.off == 0 {
+                // The frame is going onto the socket now: even if the
+                // write (or the whole call) fails from here on, its
+                // request bytes count as wire traffic.
+                self.conn.demux.mark_sent(frame.corr);
+            }
+            if !write_some(self.stream(), &frame.buf, &mut frame.off)? {
+                break;
+            }
+            out.frames.pop_front();
         }
-        match (&c.stream).write(&frame.buf[frame.off..]) {
-            Ok(0) => return Err(io::Error::new(io::ErrorKind::WriteZero, "wrote zero bytes")),
-            Ok(n) => {
-                frame.off += n;
-                if frame.off == frame.buf.len() {
-                    out.frames.pop_front();
+        Ok(())
+    }
+
+    /// Reads whatever the socket has, feeding the incremental decoder
+    /// and completing responses by correlation id.
+    fn pump_read(&mut self) -> Result<(), (io::ErrorKind, String)> {
+        let mut buf = [0u8; 16 * 1024];
+        loop {
+            match self.stream().read(&mut buf) {
+                Ok(0) => {
+                    return Err((
+                        io::ErrorKind::UnexpectedEof,
+                        "connection closed by peer".into(),
+                    ))
                 }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// Reads whatever the socket has, feeding the incremental decoder and
-/// completing responses by correlation id.
-fn pump_client_read(c: &mut ClientEntry) -> Result<(), (io::ErrorKind, String)> {
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        match (&c.stream).read(&mut buf) {
-            Ok(0) => {
-                return Err((
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed by peer".into(),
-                ))
-            }
-            Ok(n) => {
-                c.decoder.extend(&buf[..n]);
-                loop {
-                    match c.decoder.next_frame() {
-                        Ok(Some(frame)) => {
-                            c.conn.demux.complete(frame.correlation, Ok(frame.payload))
-                        }
-                        Ok(None) => break,
-                        Err(e) => return Err((e.kind(), e.to_string())),
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err((e.kind(), e.to_string())),
-        }
-    }
-}
-
-/// Accepts every pending connection, spreading them across the pool.
-fn handle_listener(l: &mut ListenerEntry, pool: &Arc<ReactorPool>) {
-    loop {
-        match l.listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nodelay(true);
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let target = pool.pick();
-                let shared = Arc::new(SrvShared {
-                    done: OrderedMutex::new(ranks::TCP_SERVE_DONE, VecDeque::new()),
-                    dead: AtomicBool::new(false),
-                    reactor: target.clone(),
-                });
-                target.push(Cmd::Served {
-                    stream,
-                    me: l.me,
-                    down: l.down.clone(),
-                    service: l.service.clone(),
-                    dispatch: l.dispatch.clone(),
-                    shared,
-                    gauge: l.gauge.clone(),
-                    shed: l.shed.clone(),
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            // Transient accept failures (ECONNABORTED, fd pressure)
-            // must not kill the endpoint for the rest of the process.
-            Err(_) => break,
-        }
-    }
-}
-
-/// Tears a server connection down immediately (malformed frame, down
-/// endpoint, service panic): no answer, no drain.
-fn cut_served(s: &mut ServedEntry) {
-    s.dead = true;
-    s.shared.dead.store(true, Ordering::SeqCst);
-    let _ = s.stream.shutdown(Shutdown::Both);
-}
-
-fn handle_served(s: &mut ServedEntry, ready: PollFd) {
-    if !s.dead && s.read_open && ready.readable() && pump_served_read(s).is_err() {
-        cut_served(s);
-        return;
-    }
-    if !s.dead && ready.writable() {
-        if pump_served_write(s).is_err() {
-            cut_served(s);
-            return;
-        }
-        // Completed responses freed dispatch slots: frames already
-        // buffered while the connection was gated can dispatch now.
-        if pump_served_decode(s).is_err() {
-            cut_served(s);
-        }
-    }
-}
-
-/// Reads request bytes until the socket would block or the
-/// [`SERVE_PIPELINE`] gate closes. `Err` means cut the connection.
-fn pump_served_read(s: &mut ServedEntry) -> Result<(), ()> {
-    let mut buf = [0u8; 16 * 1024];
-    while s.read_open && s.in_dispatch < SERVE_PIPELINE {
-        match (&s.stream).read(&mut buf) {
-            Ok(0) => s.read_open = false,
-            Ok(n) => {
-                s.decoder.extend(&buf[..n]);
-                pump_served_decode(s)?;
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            // A reset mid-stream: stop reading; responses still in
-            // dispatch drain until their writes fail (same as the old
-            // reader thread's non-InvalidData exit).
-            Err(_) => s.read_open = false,
-        }
-    }
-    Ok(())
-}
-
-/// Dispatches buffered frames while the gate has room. `Err` means cut
-/// the connection (corrupt stream, down endpoint, transport
-/// unwinding).
-fn pump_served_decode(s: &mut ServedEntry) -> Result<(), ()> {
-    while s.in_dispatch < SERVE_PIPELINE {
-        match s.decoder.next_frame() {
-            Ok(Some(frame)) => {
-                if s.down.load(Ordering::Relaxed) {
-                    // A dead server stops mid-conversation; the caller
-                    // sees the connection die, exactly like a crashed
-                    // process.
-                    return Err(());
-                }
-                let admit_key = match s.gauge.admit(&frame.payload) {
-                    Ok(key) => key,
-                    Err(busy) => {
-                        // Shed: answer with the policy's busy payload
-                        // straight through the response queue — the
-                        // dispatch pool never sees the request, the
-                        // reader is never stalled, and the reply
-                        // drains like any other completion (its write
-                        // releases the in_dispatch slot it takes
-                        // here).
-                        s.shed.fetch_add(1, Ordering::Relaxed);
-                        s.shared.done.lock().push_back(SrvDone {
-                            corr: frame.correlation,
-                            response: Some(busy),
-                        });
-                        s.in_dispatch += 1;
-                        continue;
-                    }
-                };
-                let job = ServeJob {
-                    from: frame.sender,
-                    corr: frame.correlation,
-                    payload: frame.payload,
-                    service: s.service.clone(),
-                    shared: s.shared.clone(),
-                    gauge: s.gauge.clone(),
-                    admit_key,
-                };
-                if s.dispatch.send(job).is_err() {
-                    // Pool gone: the transport is unwinding.
-                    return Err(());
-                }
-                s.in_dispatch += 1;
-            }
-            Ok(None) => break,
-            // A corrupt stream (bad version, oversized length) MUST be
-            // cut without answering.
-            Err(_) => return Err(()),
-        }
-    }
-    Ok(())
-}
-
-/// Writes completed responses in completion order until the socket
-/// would block or the queue empties. `Err` means cut the connection
-/// (write failure, panicked service, oversized response).
-fn pump_served_write(s: &mut ServedEntry) -> Result<(), ()> {
-    loop {
-        if s.cur.is_none() {
-            let done = s.shared.done.lock().pop_front();
-            match done {
-                Some(SrvDone {
-                    corr,
-                    response: Some(response),
-                }) => {
-                    let mut buf = Vec::with_capacity(FRAME_HEADER_LEN + response.len());
-                    if write_frame(&mut buf, s.me, corr, &response).is_err() {
-                        return Err(());
-                    }
-                    s.cur = Some(WriteBuf { buf, off: 0 });
-                }
-                // Service panicked on this request: cut the connection
-                // instead of answering (crash semantics).
-                Some(SrvDone { response: None, .. }) => return Err(()),
-                None => return Ok(()),
-            }
-        }
-        let finished = {
-            let cur = s.cur.as_mut().expect("current write buffer");
-            match (&s.stream).write(&cur.buf[cur.off..]) {
-                Ok(0) => return Err(()),
                 Ok(n) => {
-                    cur.off += n;
-                    cur.off == cur.buf.len()
+                    self.decoder.extend(&buf[..n]);
+                    loop {
+                        match self.decoder.next_frame() {
+                            Ok(Some(frame)) => self
+                                .conn
+                                .demux
+                                .complete(frame.correlation, Ok(frame.payload)),
+                            Ok(None) => break,
+                            Err(e) => return Err((e.kind(), e.to_string())),
+                        }
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => false,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err((e.kind(), e.to_string())),
+            }
+        }
+    }
+}
+
+impl ListenerEntry {
+    /// Accepts every pending connection, spreading them across the
+    /// pool.
+    fn accept_all(&mut self, pool: &Arc<ReactorPool>) {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _peer)) => {
+                    let _ = stream.set_nodelay(true);
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    let target = pool.pick();
+                    let shared = Arc::new(SrvShared {
+                        me: self.me,
+                        out: OrderedMutex::new(ranks::TCP_SERVE_DONE, ServeOut::default()),
+                        reactor: target.clone(),
+                    });
+                    target.push(Entry::Served(ServedEntry {
+                        stream,
+                        down: self.down.clone(),
+                        service: self.service.clone(),
+                        dispatch: self.dispatch.clone(),
+                        shared,
+                        gauge: self.gauge.clone(),
+                        shed: self.shed.clone(),
+                        decoder: FrameDecoder::new(),
+                        in_dispatch: 0,
+                        read_open: true,
+                        dead: false,
+                    }));
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                // Transient accept failures (ECONNABORTED, fd pressure)
+                // must not kill the endpoint for the rest of the
+                // process.
+                Err(_) => break,
+            }
+        }
+    }
+}
+
+impl ServedEntry {
+    /// Tears the connection down immediately (malformed frame, down
+    /// endpoint, service panic, or simply done): no answer, no drain,
+    /// and late worker results are dropped.
+    fn cut(&mut self) {
+        self.dead = true;
+        {
+            let mut out = self.shared.out.lock();
+            out.dead = true;
+            out.frames.clear();
+        }
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
+
+    fn handle(&mut self, ready: EpollEvent) {
+        if !self.dead && self.read_open && ready.readable() && self.pump_read().is_err() {
+            self.cut();
+            return;
+        }
+        if !self.dead && ready.writable() && self.pump_write().is_err() {
+            self.cut();
+        }
+    }
+
+    /// Dispatches frames buffered while the read gate was closed and
+    /// finishes a drained half-closed connection; otherwise the
+    /// interest: readability while the gate is open, writability while
+    /// replies are queued.
+    fn settle(&mut self) -> Option<u32> {
+        if !self.dead && self.pump_decode().is_err() {
+            self.cut();
+        }
+        if self.dead {
+            return None;
+        }
+        let queued = !self.shared.out.lock().frames.is_empty();
+        if !self.read_open && self.in_dispatch == 0 && !queued {
+            // Peer hung up and every pipelined response has been
+            // delivered: done.
+            self.cut();
+            return None;
+        }
+        let mut interest = 0;
+        if self.read_open && self.in_dispatch < SERVE_PIPELINE {
+            // The readiness-deregistration backpressure gate: a
+            // saturated connection simply stops watching for
+            // readability.
+            interest |= EPOLLIN;
+        }
+        if queued {
+            interest |= EPOLLOUT;
+        }
+        Some(interest)
+    }
+
+    /// Reads request bytes until the socket would block or the
+    /// [`SERVE_PIPELINE`] gate closes. `Err` means cut the connection.
+    fn pump_read(&mut self) -> Result<(), ()> {
+        let mut buf = [0u8; 16 * 1024];
+        while self.read_open && self.in_dispatch < SERVE_PIPELINE {
+            match (&self.stream).read(&mut buf) {
+                Ok(0) => self.read_open = false,
+                Ok(n) => {
+                    self.decoder.extend(&buf[..n]);
+                    self.pump_decode()?;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                // A reset mid-stream: stop reading; responses still in
+                // dispatch drain until their writes fail.
+                Err(_) => self.read_open = false,
+            }
+        }
+        Ok(())
+    }
+
+    /// Dispatches buffered frames while the gate has room. `Err` means
+    /// cut the connection (corrupt stream, down endpoint, transport
+    /// unwinding).
+    fn pump_decode(&mut self) -> Result<(), ()> {
+        while self.in_dispatch < SERVE_PIPELINE {
+            match self.decoder.next_frame() {
+                Ok(Some(frame)) => {
+                    if self.down.load(Ordering::Relaxed) {
+                        // A dead server stops mid-conversation; the
+                        // caller sees the connection die, exactly like
+                        // a crashed process.
+                        return Err(());
+                    }
+                    self.in_dispatch += 1;
+                    let admit_key = match self.gauge.admit(&frame.payload) {
+                        Ok(key) => key,
+                        Err(busy) => {
+                            // Shed: answer with the policy's busy
+                            // payload right here — the dispatch pool
+                            // never sees the request, the reader is
+                            // never stalled, and the reply takes the
+                            // same completion-order path as any other
+                            // (its write frees the slot taken above).
+                            // This thread settles the entry next, so
+                            // the reply needs no wake.
+                            self.shed.fetch_add(1, Ordering::Relaxed);
+                            let me = self.shared.me;
+                            self.shared.reply(frame_reply(me, frame.correlation, &busy));
+                            continue;
+                        }
+                    };
+                    let job = ServeJob {
+                        from: frame.sender,
+                        corr: frame.correlation,
+                        payload: frame.payload,
+                        service: self.service.clone(),
+                        shared: self.shared.clone(),
+                        gauge: self.gauge.clone(),
+                        admit_key,
+                    };
+                    if self.dispatch.send(job).is_err() {
+                        // Pool gone: the transport is unwinding.
+                        return Err(());
+                    }
+                }
+                Ok(None) => break,
+                // A corrupt stream (bad version, oversized length)
+                // MUST be cut without answering.
                 Err(_) => return Err(()),
             }
-        };
-        if finished {
-            s.cur = None;
-            // Frame delivered: release the gate slot it held since
-            // dispatch.
-            s.in_dispatch -= 1;
         }
+        Ok(())
+    }
+
+    /// Writes queued replies in completion order until the socket would
+    /// block or the queue empties. `Err` means cut the connection
+    /// (write failure, panicked service, unframeable response).
+    fn pump_write(&mut self) -> Result<(), ()> {
+        let mut out = self.shared.out.lock();
+        while let Some(front) = out.frames.front_mut() {
+            let Some(frame) = front else {
+                return Err(());
+            };
+            match write_some(&self.stream, &frame.buf, &mut frame.off) {
+                Ok(true) => {
+                    out.frames.pop_front();
+                    // Frame delivered: release the gate slot it held
+                    // since dispatch.
+                    self.in_dispatch -= 1;
+                }
+                Ok(false) => return Ok(()),
+                Err(_) => return Err(()),
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1767,6 +1910,7 @@ mod tests {
     use super::*;
     use crate::transport::{CompletionSet, Transport};
     use openflame_codec::framing::read_frame;
+    use std::io::{Read, Write};
 
     fn echo_transport() -> (TcpTransport, EndpointId, EndpointId) {
         let transport = TcpTransport::new(7);
@@ -2008,6 +2152,290 @@ mod tests {
             .collect();
         seen.sort_unstable();
         assert_eq!(seen, vec![1, 2, 3]);
+    }
+
+    /// Wakes every reactor and waits until each has counted a wake, so
+    /// wakes already in flight are counted before the caller looks.
+    fn settle_reactors(transport: &TcpTransport) {
+        for handle in &transport.reactor_pool().handles {
+            let seen = handle.probe.wakes.load(Ordering::SeqCst);
+            handle.waker.wake();
+            wait_until("a reactor wake", || {
+                handle.probe.wakes.load(Ordering::SeqCst) > seen
+            });
+        }
+    }
+
+    /// Polls `done` for up to 2 s.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Sums one test probe counter over the transport's reactors.
+    fn probe_total(transport: &TcpTransport, counter: fn(&ReactorProbe) -> &AtomicU64) -> u64 {
+        let pool = transport.reactor_pool();
+        pool.handles
+            .iter()
+            .map(|h| counter(&h.probe).load(Ordering::SeqCst))
+            .sum()
+    }
+
+    #[test]
+    fn warm_pipelined_small_calls_wake_reactors_only_for_responses() {
+        let (transport, client, server) = echo_transport();
+        // Warm the pool; the dial's and the accept's hand-over wakes are
+        // counted before the measured calls start.
+        for i in 0..5u8 {
+            transport.call(client, server, vec![i]).unwrap();
+        }
+        settle_reactors(&transport);
+        let before = probe_total(&transport, |p| &p.wakes);
+        let calls = 100u64;
+        for round in 0..10u8 {
+            let mut set = CompletionSet::new();
+            for i in 0..10u8 {
+                set.push(transport.submit(client, server, vec![round, i]));
+            }
+            for (i, result) in set.wait_all().into_iter().enumerate() {
+                assert_eq!(result.unwrap().payload, vec![round, i as u8]);
+            }
+        }
+        // Submitters wrote every request themselves; only a worker's
+        // queued response may wake its reactor, at most once each.
+        let wakes = probe_total(&transport, |p| &p.wakes) - before;
+        assert!(wakes <= calls, "{wakes} wakes for {calls} calls");
+        assert_eq!(probe_total(&transport, |p| &p.client_remainders), 0);
+        assert_eq!(transport.pooled_conns(server), 1);
+    }
+
+    #[test]
+    fn large_frames_leave_remainders_to_the_reactor_without_interleaving() {
+        // A direct write leaves a remainder only when the peer stops
+        // reading. One reactor serves both ends here, and admission
+        // classification runs on it, so a [0xEE] marker request parks
+        // the reactor until the test lets it go: nobody reads either
+        // socket meanwhile.
+        const STALL: u8 = 0xEE;
+        let stalled = Arc::new(AtomicBool::new(false));
+        let released = Arc::new(AtomicBool::new(false));
+        let transport = TcpTransport::with_reactors(7, 1);
+        let server = transport.register("echo", None);
+        transport.set_service(
+            server,
+            Arc::new(|_from: EndpointId, payload: &[u8]| payload.to_vec()),
+        );
+        let (entered, go) = (stalled.clone(), released.clone());
+        transport.set_overload_policy(
+            server,
+            Some(OverloadPolicy {
+                max_depth: 1024,
+                retry_after_us: 1_000,
+                classify: Arc::new(move |payload: &[u8]| {
+                    if payload == [STALL] {
+                        entered.store(true, Ordering::SeqCst);
+                        while !go.load(Ordering::SeqCst) {
+                            thread::sleep(Duration::from_millis(1));
+                        }
+                    }
+                    0
+                }),
+                busy_reply: Arc::new(|_| vec![0xBB]),
+            }),
+        );
+        let client = transport.register("client", None);
+        transport.call(client, server, vec![0]).unwrap();
+        let big: Vec<u8> = (0..4u32 << 20).map(|i| (i % 251) as u8).collect();
+        let mut set = CompletionSet::new();
+        for i in 0..8u8 {
+            set.push(transport.submit(client, server, vec![1, i]));
+        }
+        set.push(transport.submit(client, server, vec![STALL]));
+        wait_until("the stall", || stalled.load(Ordering::SeqCst));
+        set.push(transport.submit(client, server, big.clone()));
+        assert!(
+            probe_total(&transport, |p| &p.client_remainders) >= 1,
+            "a 4 MiB request into an unread socket leaves a remainder"
+        );
+        for i in 8..16u8 {
+            set.push(transport.submit(client, server, vec![1, i]));
+        }
+        released.store(true, Ordering::SeqCst);
+        let results: Vec<Vec<u8>> = set
+            .wait_all()
+            .into_iter()
+            .map(|r| r.expect("no call fails").payload)
+            .collect();
+        // Byte-exact payloads in submission positions: a frame
+        // interleaved into another — the 4 MiB echo goes out in many
+        // writes with small responses queued behind it — would have
+        // broken the decoder.
+        assert!(results[9] == big, "the 4 MiB echo must be byte-exact");
+        assert_eq!(results[8], vec![STALL]);
+        for (k, i) in (0..8).chain(10..18).zip(0..16u8) {
+            assert_eq!(results[k], vec![1, i]);
+        }
+        assert_eq!(transport.pooled_conns(server), 1);
+        assert_eq!(transport.orphan_responses(), 0);
+    }
+
+    #[test]
+    fn pipelined_requests_past_the_read_gate_drain_without_stalling() {
+        let transport = TcpTransport::with_reactors(7, 1);
+        let server = transport.register("gate", None);
+        transport.set_service(
+            server,
+            Arc::new(|_from: EndpointId, payload: &[u8]| {
+                thread::sleep(Duration::from_millis(2));
+                payload.to_vec()
+            }),
+        );
+        let mut raw = TcpStream::connect(transport.listen_addr(server).unwrap()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let total = 3 * SERVE_PIPELINE as u64;
+        let mut burst = Vec::new();
+        for corr in 0..total {
+            write_frame(&mut burst, 5, corr, &corr.to_le_bytes()).unwrap();
+        }
+        let t0 = Instant::now();
+        raw.write_all(&burst).unwrap();
+        let mut seen: Vec<u64> = (0..total)
+            .map(|_| {
+                let frame = read_frame(&mut raw).expect("the gate reopens; nothing stalls");
+                assert_eq!(frame.payload, frame.correlation.to_le_bytes());
+                frame.correlation
+            })
+            .collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..total).collect::<Vec<_>>());
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+    }
+
+    #[test]
+    fn busy_replies_behind_a_closed_read_gate_are_all_answered() {
+        // Depth 1: one request at a time reaches a worker, the rest are
+        // shed by the reactor itself, many of them while the gate is
+        // closed. The raw peer never times anything out, so only the
+        // transport's own wakes can drain the connection.
+        let transport = TcpTransport::with_reactors(7, 1);
+        let server = transport.register("gate", None);
+        transport.set_service(
+            server,
+            Arc::new(|_from: EndpointId, payload: &[u8]| {
+                thread::sleep(Duration::from_millis(1));
+                payload.to_vec()
+            }),
+        );
+        transport.set_overload_policy(server, Some(test_policy(1)));
+        let mut raw = TcpStream::connect(transport.listen_addr(server).unwrap()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let total = 8 * SERVE_PIPELINE as u64;
+        let mut burst = Vec::new();
+        for corr in 0..total {
+            write_frame(&mut burst, 5, corr, &[1, corr as u8]).unwrap();
+        }
+        raw.write_all(&burst).unwrap();
+        let mut seen: Vec<u64> = (0..total)
+            .map(|_| {
+                let frame = read_frame(&mut raw).expect("every frame is answered");
+                assert!(is_busy(&frame.payload) || frame.payload == [1, frame.correlation as u8]);
+                frame.correlation
+            })
+            .collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..total).collect::<Vec<_>>());
+        assert!(transport.shed_requests() >= 1);
+    }
+
+    #[test]
+    fn sockets_the_kernel_will_not_watch_fail_their_calls_at_once() {
+        let (transport, client, server) = echo_transport();
+        transport.call(client, server, vec![0]).unwrap();
+        let pool = transport.reactor_pool();
+        let refuse = |on: bool| {
+            for handle in &pool.handles {
+                handle.probe.refuse_registration.store(on, Ordering::SeqCst);
+            }
+        };
+        // A fresh dial's first registration is refused.
+        let other = transport.register("other", None);
+        transport.set_service(other, Arc::new(|_: EndpointId, p: &[u8]| p.to_vec()));
+        // A wake is counted just before the sweep it triggers, so the
+        // second round proves the new listener's registration is done.
+        settle_reactors(&transport);
+        settle_reactors(&transport);
+        refuse(true);
+        let t0 = Instant::now();
+        assert!(transport.call(client, other, vec![1]).is_err());
+        assert!(
+            t0.elapsed() < transport.timeout() / 2,
+            "the call failed at the refusal, not at its timeout: {:?}",
+            t0.elapsed()
+        );
+        refuse(false);
+        assert_eq!(
+            transport.call(client, other, vec![2]).unwrap().payload,
+            vec![2]
+        );
+        assert_eq!(
+            transport.call(client, server, vec![3]).unwrap().payload,
+            vec![3]
+        );
+    }
+
+    #[test]
+    fn gated_or_half_closed_connections_leave_the_reactor_idle() {
+        let transport = TcpTransport::with_reactors(7, 1);
+        let server = transport.register("blocked", None);
+        let release = Arc::new(AtomicBool::new(false));
+        let gate = release.clone();
+        transport.set_service(
+            server,
+            Arc::new(move |_from: EndpointId, payload: &[u8]| {
+                while !gate.load(Ordering::SeqCst) {
+                    thread::sleep(Duration::from_millis(1));
+                }
+                payload.to_vec()
+            }),
+        );
+        let addr = transport.listen_addr(server).unwrap();
+        // One connection past its read gate: every dispatch slot held.
+        let mut gated = TcpStream::connect(addr).unwrap();
+        let total = SERVE_PIPELINE as u64 + 8;
+        for corr in 0..total {
+            write_frame(&mut gated, 5, corr, &[corr as u8]).unwrap();
+        }
+        // One half-closed connection with its request still in dispatch.
+        let mut half = TcpStream::connect(addr).unwrap();
+        write_frame(&mut half, 6, 99, &[99]).unwrap();
+        half.shutdown(Shutdown::Write).unwrap();
+        let gauge = transport.inner.endpoints.lock()[&server].gauge.clone();
+        wait_until("both connections' requests in dispatch", || {
+            gauge.current_depth() == SERVE_PIPELINE + 1
+        });
+        let before = probe_total(&transport, |p| &p.loops);
+        thread::sleep(Duration::from_millis(200));
+        let spins = probe_total(&transport, |p| &p.loops) - before;
+        assert!(spins <= 5, "the reactor looped {spins} times while idle");
+        release.store(true, Ordering::SeqCst);
+        gated
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        for _ in 0..total {
+            let frame = read_frame(&mut gated).expect("gated requests drain");
+            assert_eq!(frame.payload, vec![frame.correlation as u8]);
+        }
+        half.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        assert_eq!(read_frame(&mut half).unwrap().payload, vec![99]);
+        let mut rest = [0u8; 1];
+        assert_eq!(
+            half.read(&mut rest).unwrap(),
+            0,
+            "a drained half-closed connection is closed"
+        );
     }
 
     #[test]

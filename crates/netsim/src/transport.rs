@@ -30,7 +30,7 @@
 //! - [`crate::tcp::TcpTransport`] speaks real TCP over `std::net` with
 //!   multiplexed, pipelined connections driven by a shared pool of
 //!   event-loop reactor threads: non-blocking sockets multiplexed on
-//!   `poll(2)` readiness, responses matched to requests by correlation
+//!   epoll readiness, responses matched to requests by correlation
 //!   id, thread count O(reactor pool + dispatch pool) — independent of
 //!   connections, endpoints and fan-out. Served endpoints dispatch
 //!   concurrently through a bounded transport-wide worker pool and

@@ -47,7 +47,7 @@
 //!   in-flight calls across every destination; responses complete out
 //!   of order and are matched by the frame correlation id, exactly as
 //!   on TCP. Each served endpoint binds one UDP socket; all serve
-//!   sockets are multiplexed by a single poll-based poller thread,
+//!   sockets are multiplexed by a single epoll-driven poller thread,
 //!   which dispatches decoded frames through a bounded transport-wide
 //!   worker pool ([`SERVE_POOL`]); responses are sent the moment they
 //!   complete — with datagrams there is no stream to keep ordered, so
@@ -63,15 +63,18 @@
 //!
 //! Threads are few and fixed: one poller multiplexing every served
 //! endpoint's socket, a transport-wide pool of [`SERVE_POOL`] dispatch
-//! workers, one poll-driven receiver draining the shared client
+//! workers, one epoll-driven receiver draining the shared client
 //! socket, and one RTO timer — a small
 //! constant, independent of served endpoints, fan-out width, call
 //! volume and destination count (the pipelining stress test pins the
 //! ceiling, which sits below even TCP's shared-reactor budget). The
 //! RTO timer is lazy and parked: it does not exist until the first
 //! packet awaits an ack, and it sleeps on a condvar — burning no
-//! wakeups — whenever nothing is unacknowledged. All workers exit
-//! within a poll tick of the last transport handle dropping.
+//! wakeups — whenever nothing is unacknowledged. The receiver blocks
+//! until a datagram arrives, so an idle transport wakes no thread at
+//! all. Dropping the last transport handle fires the receiver's and
+//! the serve poller's wakers and unparks the RTO timer: every worker
+//! exits promptly.
 //!
 //! Accounting mirrors TCP at the frame level: each completed exchange
 //! charges 2 messages and `payload + FRAME_HEADER_LEN` bytes per
@@ -83,7 +86,7 @@
 //! [`QuicStats`] counters, because charging it to [`NetStats`] would
 //! break the parity the federation's invariants rest on.
 
-use crate::reactor::{poll_fds, size_socket_buffers, PollFd, Waker, POLLIN};
+use crate::reactor::{size_socket_buffers, Epoll, EpollEvent, Waker, EPOLLIN, WAKER_TOKEN};
 use crate::stats::{EndpointLatency, EndpointStats, NetStats};
 use crate::transport::{
     CallHandle, DispatchGauge, OverloadPolicy, PendingCall, Transfer, Transport, WireService,
@@ -116,12 +119,6 @@ pub const SERVE_POOL: usize = 4;
 
 /// How often the RTO timer thread scans for unacknowledged packets.
 const RTO_TICK: Duration = Duration::from_millis(3);
-
-/// How long the client receiver blocks in `poll(2)` on its socket
-/// before re-checking the shutdown flag — the teardown latency bound.
-/// Arriving datagrams end the wait at once; the receiver then drains
-/// the socket and acks the burst ([`drain_socket`]).
-const RECV_POLL: Duration = Duration::from_millis(50);
 
 /// Send and receive buffer every QuicLite socket asks for. A 196 KB
 /// tile leaves as ~167 back-to-back datagrams, and the kernel charges
@@ -471,8 +468,9 @@ struct Wire {
     /// so an idle transport burns no RTO wakeups at all.
     rto_gen: OrderedMutex<u64>,
     rto_cv: OrderedCondvar,
-    /// Set when the last transport handle drops; every worker exits
-    /// within one [`RECV_POLL`] / poll tick.
+    /// Set when the last transport handle drops (which also fires the
+    /// wakers and unparks the RTO timer); every worker exits on its
+    /// next wakeup.
     shutdown: AtomicBool,
 }
 
@@ -746,6 +744,8 @@ struct ClientSide {
     conns: HashMap<EndpointId, Arc<ConnState>>,
     /// Conn id → connection, the receiver thread's routing table.
     by_conn_id: Arc<OrderedMutex<HashMap<u64, Arc<ConnState>>>>,
+    /// Pops the receiver out of its indefinite wait at teardown.
+    waker: Arc<Waker>,
 }
 
 struct Inner {
@@ -771,12 +771,14 @@ struct Inner {
 
 impl Drop for Inner {
     fn drop(&mut self) {
-        // The flag alone tears the whole backend down within ~one poll
-        // interval; the explicit wakes below just make it prompt. No
-        // per-endpoint blocking work regardless of fleet size.
+        // Set the flag, then wake every blocked worker so it observes
+        // it. No per-endpoint blocking work regardless of fleet size.
         self.wire.shutdown.store(true, Ordering::SeqCst);
         if let Some(serve) = self.serve.get_mut().take() {
             serve.waker.wake();
+        }
+        if let Some(client) = self.client.get_mut() {
+            client.waker.wake();
         }
         // Unpark the RTO timer if it is idle so it observes the flag.
         {
@@ -935,6 +937,10 @@ impl QuicLiteTransport {
             cmds: OrderedMutex::new(ranks::QUIC_SERVE_CMDS, Vec::new()),
             waker: Waker::new().expect("create serve poller waker"),
         });
+        let epoll = Epoll::new().expect("create serve poller epoll set");
+        epoll
+            .add(shared.waker.fd(), WAKER_TOKEN, EPOLLIN)
+            .expect("register serve poller waker");
         let wire = self.inner.wire.clone();
         let poller = shared.clone();
         let guard = ThreadGuard::enter(&wire.threads);
@@ -942,7 +948,7 @@ impl QuicLiteTransport {
             .name("ofl-quic-serve".into())
             .spawn(move || {
                 let _guard = guard;
-                run_serve_poller(wire, poller);
+                run_serve_poller(wire, poller, epoll);
             })
             .expect("spawn serve poller");
         *slot = Some(shared.clone());
@@ -977,18 +983,34 @@ impl QuicLiteTransport {
         let mut rx = ClientRx {
             routes: by_conn_id.clone(),
         };
+        let waker = Arc::new(Waker::new().expect("create client receiver waker"));
+        let rx_waker = waker.clone();
+        let epoll = Epoll::new().expect("create client receiver epoll set");
+        epoll
+            .add(rx_socket.as_raw_fd(), 0, EPOLLIN)
+            .expect("register client socket");
+        epoll
+            .add(waker.fd(), WAKER_TOKEN, EPOLLIN)
+            .expect("register client receiver waker");
         let guard = ThreadGuard::enter(&wire.threads);
         thread::Builder::new()
             .name("ofl-quic-client-rx".into())
             .spawn(move || {
                 let _guard = guard;
                 let mut buf = [0u8; 2048];
-                let mut fds = [PollFd::new(rx_socket.as_raw_fd(), POLLIN)];
+                let mut events = [EpollEvent::EMPTY; 2];
+                // No timeout: datagrams end the wait, and so does the
+                // waker that teardown fires after setting the flag.
                 while !wire.shutdown.load(Ordering::SeqCst) {
-                    match poll_fds(&mut fds, RECV_POLL.as_millis() as i32) {
-                        Ok(0) => {} // quiet: re-check shutdown
-                        Ok(_) => drain_socket(&wire, &rx_socket, &mut buf, &mut rx),
-                        Err(_) => thread::sleep(Duration::from_millis(1)),
+                    let Ok(ready) = epoll.wait(&mut events, -1) else {
+                        thread::sleep(Duration::from_millis(1));
+                        continue;
+                    };
+                    for event in &events[..ready] {
+                        match event.token() {
+                            WAKER_TOKEN => rx_waker.drain(),
+                            _ => drain_socket(&wire, &rx_socket, &mut buf, &mut rx),
+                        }
                     }
                 }
             })
@@ -997,6 +1019,7 @@ impl QuicLiteTransport {
             socket,
             conns: HashMap::new(),
             by_conn_id,
+            waker,
         });
     }
 
@@ -1473,7 +1496,7 @@ fn spawn_dispatch_pool(wire: &Arc<Wire>) -> mpsc::Sender<ServeJob> {
 }
 
 /// The cross-thread face of the serve poller: newly served endpoints
-/// queue their socket state here and pop the poller's `poll`.
+/// queue their socket state here and pop the poller's `epoll_wait`.
 struct ServeShared {
     cmds: OrderedMutex<Vec<ServeSock>>,
     waker: Waker,
@@ -1493,7 +1516,7 @@ impl ServeShared {
 /// One served endpoint's socket and per-connection state, owned by the
 /// poller thread (single-threaded access: no locks). The conn table is
 /// bounded by IDLE eviction: conns silent past the generous idle
-/// horizon are dropped during quiet poll ticks, so a long-lived server
+/// horizon are dropped during quiet poller ticks, so a long-lived server
 /// with client churn holds state for recent clients only (an evicted
 /// client's next resumption misses, breaks, and falls back to a cold
 /// handshake).
@@ -1510,7 +1533,7 @@ struct ServeSock {
 
 impl ServeSock {
     /// Drops connection state for clients silent past the idle horizon
-    /// (run on quiet poll ticks).
+    /// (run on quiet poller ticks).
     fn evict_idle(&mut self) {
         if self.conns.len() <= 1 {
             return;
@@ -1529,47 +1552,58 @@ impl ServeSock {
 }
 
 /// The one serve-side event loop: multiplexes every served endpoint's
-/// UDP socket with `poll(2)`, handling handshakes and acks inline and
+/// UDP socket in one epoll set, handling handshakes and acks inline and
 /// handing reassembled request frames to the dispatch pool. Replaces
 /// the receiver-thread-per-endpoint design — a 128-server fleet costs
 /// one poller, not 128 parked receivers. Exits on shutdown, dropping
 /// every socket, conn table and service handle it owns.
-fn run_serve_poller(wire: Arc<Wire>, shared: Arc<ServeShared>) {
+fn run_serve_poller(wire: Arc<Wire>, shared: Arc<ServeShared>, epoll: Epoll) {
     let mut socks: Vec<ServeSock> = Vec::new();
-    let mut fds: Vec<PollFd> = Vec::new();
+    // Sockets the kernel refused to watch (ENOMEM, the max_user_watches
+    // limit), retried every round — at least once a second.
+    let mut unwatched: Vec<ServeSock> = Vec::new();
+    let mut events = vec![EpollEvent::EMPTY; 64];
     let mut buf = [0u8; 2048];
     loop {
         if wire.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        socks.extend(shared.take());
-        fds.clear();
-        fds.push(PollFd::new(shared.waker.rx_fd(), POLLIN));
-        for s in &socks {
-            fds.push(PollFd::new(s.socket.as_raw_fd(), POLLIN));
+        unwatched.extend(shared.take());
+        for sock in std::mem::take(&mut unwatched) {
+            // Registered once, under its index: `socks` only grows.
+            if epoll
+                .add(sock.socket.as_raw_fd(), socks.len() as u64, EPOLLIN)
+                .is_ok()
+            {
+                socks.push(sock);
+            } else {
+                unwatched.push(sock);
+            }
         }
-        // The 1 s timeout bounds shutdown latency and provides the
-        // idle ticks conn eviction runs on.
-        let ready = match poll_fds(&mut fds, 1_000) {
+        // The 1 s timeout provides the idle ticks conn eviction runs
+        // on.
+        let ready = match epoll.wait(&mut events, 1_000) {
             Ok(n) => n,
             Err(_) => {
                 thread::sleep(Duration::from_millis(1));
                 continue;
             }
         };
-        if fds[0].readable() {
-            shared.waker.drain();
-        }
         if ready == 0 {
             for s in &mut socks {
                 s.evict_idle();
             }
             continue;
         }
-        for (i, s) in socks.iter_mut().enumerate() {
-            if fds[i + 1].readable() {
-                let socket = s.socket.clone();
-                drain_socket(&wire, &socket, &mut buf, s);
+        for event in &events[..ready] {
+            match event.token() {
+                WAKER_TOKEN => shared.waker.drain(),
+                token => {
+                    if let Some(s) = socks.get_mut(token as usize) {
+                        let socket = s.socket.clone();
+                        drain_socket(&wire, &socket, &mut buf, s);
+                    }
+                }
             }
         }
     }

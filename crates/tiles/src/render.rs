@@ -20,19 +20,77 @@ use std::sync::Arc;
 /// ([`Tile::to_rgb`]), encoded once when the tile is rendered: paper §4.1's
 /// pre-rendering extends to the encoding, so serving a cached tile
 /// ([`TileRenderer::tile_rgb`]) copies bytes instead of re-packing
-/// pixels.
+/// pixels. The cache is bounded by [`CACHE_CAP_BYTES`]: past it, the
+/// least recently used tiles are evicted and re-rendered on demand.
 pub struct TileRenderer {
     /// Projected world coordinates (unit square) per node, plus tags.
     features: Vec<Feature>,
-    cache: openflame_diag::OrderedMutex<HashMap<TileCoord, Rendered>>,
+    cache: openflame_diag::OrderedMutex<TileCache>,
     render_count: std::sync::atomic::AtomicU64,
 }
+
+/// Byte budget of one renderer's tile cache. A cached tile holds its
+/// ARGB pixels and its RGB wire form, 448 KiB at 256 × 256, so the cap
+/// keeps about 146 tiles: several times the working set of one map
+/// server in the benchmark workloads (at most 22 distinct tiles per
+/// renderer over a 10 s run), while requests for ever new `(z, x, y)`
+/// can no longer grow a server's memory without bound.
+pub const CACHE_CAP_BYTES: usize = 64 << 20;
 
 /// One cache entry: a rendered tile and its RGB wire form.
 #[derive(Clone)]
 struct Rendered {
     tile: Arc<Tile>,
     rgb: Arc<[u8]>,
+}
+
+impl Rendered {
+    fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.tile.pixels()) + self.rgb.len()
+    }
+}
+
+/// Rendered tiles by address, each stamped with its last use; the
+/// least recently used go first once the cache outgrows
+/// [`CACHE_CAP_BYTES`].
+#[derive(Default)]
+struct TileCache {
+    entries: HashMap<TileCoord, (Rendered, u64)>,
+    bytes: usize,
+    clock: u64,
+    evictions: u64,
+}
+
+impl TileCache {
+    fn get(&mut self, coord: TileCoord) -> Option<Rendered> {
+        self.clock += 1;
+        let (rendered, used) = self.entries.get_mut(&coord)?;
+        *used = self.clock;
+        Some(rendered.clone())
+    }
+
+    fn insert(&mut self, coord: TileCoord, rendered: Rendered) {
+        self.clock += 1;
+        self.bytes += rendered.bytes();
+        if let Some((old, _)) = self.entries.insert(coord, (rendered, self.clock)) {
+            // Two threads rendered the same miss; keep the newer copy.
+            self.bytes -= old.bytes();
+        }
+        while self.bytes > CACHE_CAP_BYTES {
+            let Some(oldest) = self
+                .entries
+                .iter()
+                .min_by_key(|(_, (_, used))| *used)
+                .map(|(coord, _)| *coord)
+            else {
+                break;
+            };
+            if let Some((evicted, _)) = self.entries.remove(&oldest) {
+                self.bytes -= evicted.bytes();
+                self.evictions += 1;
+            }
+        }
+    }
 }
 
 enum Feature {
@@ -86,7 +144,7 @@ impl TileRenderer {
             features,
             cache: openflame_diag::OrderedMutex::new(
                 openflame_diag::ranks::TILE_CACHE,
-                HashMap::new(),
+                TileCache::default(),
             ),
             render_count: std::sync::atomic::AtomicU64::new(0),
         })
@@ -102,6 +160,21 @@ impl TileRenderer {
         self.render_count.load(std::sync::atomic::Ordering::Relaxed)
     }
 
+    /// Tiles currently cached.
+    pub fn cached_tiles(&self) -> usize {
+        self.cache.lock().entries.len()
+    }
+
+    /// Bytes the cache currently holds (at most [`CACHE_CAP_BYTES`]).
+    pub fn cache_bytes(&self) -> usize {
+        self.cache.lock().bytes
+    }
+
+    /// Tiles evicted from the cache to stay under [`CACHE_CAP_BYTES`].
+    pub fn evictions(&self) -> u64 {
+        self.cache.lock().evictions
+    }
+
     /// Renders (or fetches from cache) one tile.
     pub fn tile(&self, coord: TileCoord) -> Arc<Tile> {
         self.rendered(coord).tile
@@ -114,8 +187,8 @@ impl TileRenderer {
     }
 
     fn rendered(&self, coord: TileCoord) -> Rendered {
-        if let Some(hit) = self.cache.lock().get(&coord) {
-            return hit.clone();
+        if let Some(hit) = self.cache.lock().get(coord) {
+            return hit;
         }
         let tile = self.render(coord);
         let entry = Rendered {
@@ -292,6 +365,63 @@ mod tests {
             1,
             "tile and wire form share one render"
         );
+    }
+
+    /// Renders distinct z16 tiles west of `origin` until the cache has
+    /// evicted, touching `hot` between renders; returns how many.
+    fn overfill(r: &TileRenderer, origin: TileCoord, hot: TileCoord) -> u32 {
+        let mut n = 0;
+        while r.evictions() < 4 {
+            n += 1;
+            r.tile_rgb(TileCoord {
+                x: origin.x - n,
+                ..origin
+            });
+            r.tile_rgb(hot);
+        }
+        n
+    }
+
+    #[test]
+    fn cache_evicts_least_recently_used_under_its_byte_cap() {
+        let map = city_map();
+        let r = TileRenderer::new(&map).unwrap();
+        let (x, y) = Mercator::tile_for(LatLng::new(40.4433, -79.9436).unwrap(), 16);
+        let first = TileCoord { z: 16, x, y };
+        let hot = TileCoord { y: y + 1, ..first };
+        let first_rgb = r.tile_rgb(first);
+        let filled = overfill(&r, first, hot);
+        assert!(r.cache_bytes() <= CACHE_CAP_BYTES);
+        assert_eq!(
+            r.cached_tiles() as u64 + r.evictions(),
+            u64::from(filled) + 2
+        );
+        // The hot tile stayed; the cold first tile went and comes back
+        // as a fresh render, byte-identical to the evicted copy and to
+        // an independent renderer's.
+        let renders = r.renders_performed();
+        r.tile_rgb(hot);
+        assert_eq!(r.renders_performed(), renders, "the hot tile stayed cached");
+        let again = r.tile_rgb(first);
+        assert_eq!(
+            r.renders_performed(),
+            renders + 1,
+            "the cold tile was evicted"
+        );
+        assert_eq!(again, first_rgb);
+        assert_eq!(again, TileRenderer::new(&map).unwrap().tile_rgb(first));
+    }
+
+    #[test]
+    fn slippy_grid_bounds() {
+        let at = |z, x, y| TileCoord { z, x, y }.in_grid();
+        assert!(at(0, 0, 0));
+        assert!(!at(0, 1, 0));
+        assert!(at(2, 3, 3));
+        assert!(!at(2, 4, 0));
+        assert!(!at(2, 0, 4));
+        assert!(at(32, u32::MAX, u32::MAX));
+        assert!(!at(33, 0, 0));
     }
 
     #[test]

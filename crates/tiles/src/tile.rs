@@ -17,6 +17,16 @@ pub struct TileCoord {
     pub y: u32,
 }
 
+impl TileCoord {
+    /// Whether the address names a tile of the slippy grid: zoom `z`
+    /// has `2^z` columns and rows, and 32 is the deepest zoom whose
+    /// indices fit `x`/`y`. `GetTile` answers anything else with an
+    /// error (spec §2.2).
+    pub fn in_grid(&self) -> bool {
+        self.z <= 32 && u64::from(self.x.max(self.y)) < 1u64 << self.z
+    }
+}
+
 /// A rendered square tile of ARGB pixels (0xAARRGGBB).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tile {

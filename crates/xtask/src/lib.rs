@@ -697,7 +697,7 @@ pub fn forbidden_api_findings(file: &str, content: &str) -> Vec<Finding> {
                     &mut out,
                     idx,
                     format!(
-                        "`{needle}` on a reactor code path: reactor threads are poll-driven \
+                        "`{needle}` on a reactor code path: reactor threads are readiness-driven \
                          and must never block (spec Appendix A)"
                     ),
                 );
